@@ -89,6 +89,20 @@ pub enum RunWarning {
         /// Cycle of the expiry.
         at_cycle: u64,
     },
+    /// A main core took a trap other than its final `ecall` (a
+    /// misaligned access, an illegal instruction, ...). The main was
+    /// parked where it trapped and its [`MainReport`] is not completed;
+    /// the rest of the run went on without it.
+    MainTrapped {
+        /// The trapped main core.
+        main: usize,
+        /// The trap cause.
+        cause: TrapCause,
+        /// Program counter of the trapping instruction.
+        pc: u64,
+        /// Trap value (the faulting address for access faults).
+        tval: u64,
+    },
 }
 
 /// Per-main-slot reliability-policy accounting.
@@ -302,6 +316,18 @@ impl RunReport {
                         .field_u64("main", *main as u64)
                         .field_u64("at_cycle", *at_cycle);
                 }
+                RunWarning::MainTrapped {
+                    main,
+                    cause,
+                    pc,
+                    tval,
+                } => {
+                    o.field_str("kind", "main_trapped")
+                        .field_u64("main", *main as u64)
+                        .field_str("cause", &format!("{cause:?}"))
+                        .field_u64("pc", *pc)
+                        .field_u64("tval", *tval);
+                }
             }
             o.finish()
         }));
@@ -417,8 +443,11 @@ pub struct VerifiedRun {
     arbiter_of: Vec<Option<usize>>,
     /// Main slot of each core id (dense reverse map).
     slot_of: Vec<Option<usize>>,
+    /// Per main slot: stopped producing (finished or trapped).
     done: Vec<bool>,
     done_count: usize,
+    /// Per main slot: stopped by a trap rather than its final `ecall`.
+    trapped: Vec<bool>,
     finish_cycle: Vec<u64>,
     steps: u64,
     observers: Vec<Box<dyn Observer + Send>>,
@@ -758,6 +787,7 @@ impl VerifiedRun {
             slot_of,
             done: vec![false; n],
             done_count: 0,
+            trapped: vec![false; n],
             finish_cycle: vec![0; n],
             steps: 0,
             observers,
@@ -933,6 +963,12 @@ impl VerifiedRun {
 
     /// Whether every main core has reached its final `ecall`.
     pub fn main_done(&self) -> bool {
+        self.mains_stopped() && !self.trapped.contains(&true)
+    }
+
+    /// Whether every main core has stopped producing: finished, or
+    /// parked by a trap ([`RunWarning::MainTrapped`]).
+    fn mains_stopped(&self) -> bool {
         self.done_count == self.mains.len()
     }
 
@@ -958,7 +994,7 @@ impl VerifiedRun {
     // ----- stepping ---------------------------------------------------------
 
     fn complete(&self) -> bool {
-        self.main_done() && self.drained() && self.arbiters.iter().all(CheckerArbiter::is_idle)
+        self.mains_stopped() && self.drained() && self.arbiters.iter().all(CheckerArbiter::is_idle)
     }
 
     /// Expires every still-pending shot (the run is complete; nothing
@@ -1146,6 +1182,9 @@ impl VerifiedRun {
         let main = self.mains[slot];
         self.done[slot] = false;
         self.done_count -= 1;
+        // A trap the rollback undid no longer stops the main; its
+        // warning stays in the log.
+        self.trapped[slot] = false;
         self.finish_cycle[slot] = 0;
         self.fs.soc.core_mut(main).unpark();
         if self.arbiter_of[slot].is_some() {
@@ -1635,30 +1674,24 @@ impl VerifiedRun {
                 }) = &step
                 {
                     let now = self.fs.soc.now();
-                    self.done[slot] = true;
-                    self.done_count += 1;
                     self.finish_cycle[slot] = now;
-                    if self.mode_tracking {
-                        // Freeze coverage at the finish: drain cycles
-                        // belong to neither bucket.
-                        let live = self.coverage[slot].live;
-                        self.coverage[slot].transition(now, live);
-                        self.coverage[slot].frozen = true;
-                    }
-                    self.fs.soc.core_mut(core).park();
-                    if let Some(arb) = self.arbiter_of[slot] {
-                        // The job is done: stop producing and let the
-                        // arbiter hand the checker over once the stream
-                        // drains.
-                        self.fs.fabric.set_check(core, false).expect("main core");
-                        self.arbiters[arb].release(core);
-                    }
+                    self.stop_main(slot, core, now);
                     self.emit(RunEvent::MainFinished {
                         main: core,
                         cycle: now,
                     });
-                } else if let EngineStep::Core(StepKind::Trap { cause, tval, pc }) = &step {
-                    panic!("main core {core} faulted: {cause:?} tval={tval:#x} pc={pc:#x}");
+                } else if let EngineStep::Core(StepKind::Trap { cause, tval, pc }) = step {
+                    // Leaving user mode closed the open segment, so the
+                    // checker still drains what the main produced.
+                    let now = self.fs.soc.now();
+                    self.trapped[slot] = true;
+                    self.stop_main(slot, core, now);
+                    self.warnings.push(RunWarning::MainTrapped {
+                        main: core,
+                        cause,
+                        pc,
+                        tval,
+                    });
                 }
             }
         }
@@ -1669,6 +1702,28 @@ impl VerifiedRun {
             self.handle_recovery_step(core, &step);
         }
         true
+    }
+
+    /// Stops a main that will produce no more (its final `ecall`, or a
+    /// trap): parks it, freezes its coverage and hands its shared checker
+    /// back once the stream drains.
+    fn stop_main(&mut self, slot: usize, core: usize, now: u64) {
+        self.done[slot] = true;
+        self.done_count += 1;
+        if self.mode_tracking {
+            // Freeze coverage at the finish: drain cycles belong to
+            // neither bucket.
+            let live = self.coverage[slot].live;
+            self.coverage[slot].transition(now, live);
+            self.coverage[slot].frozen = true;
+        }
+        self.fs.soc.core_mut(core).park();
+        if let Some(arb) = self.arbiter_of[slot] {
+            // Stop producing and let the arbiter hand the checker over
+            // once the stream drains.
+            self.fs.fabric.set_check(core, false).expect("main core");
+            self.arbiters[arb].release(core);
+        }
     }
 
     /// Emits the sink events for one engine step.
@@ -1793,7 +1848,7 @@ impl VerifiedRun {
                 let rec = self.recovery.as_ref().map(|r| &r.slots[slot]);
                 MainReport {
                     core,
-                    completed: self.done[slot],
+                    completed: self.done[slot] && !self.trapped[slot],
                     finish_cycle: self.finish_cycle[slot],
                     retired: self.fs.soc.core(core).instret,
                     recoveries: rec.map_or(0, |s| s.recoveries),

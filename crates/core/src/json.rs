@@ -233,6 +233,7 @@ impl JsonValue {
     /// Returns a [`JsonParseError`] locating the first malformed byte.
     pub fn parse(input: &str) -> Result<JsonValue, JsonParseError> {
         let mut p = Parser {
+            src: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -312,7 +313,11 @@ impl JsonValue {
 }
 
 struct Parser<'a> {
+    src: &'a str,
+    /// `src` as bytes, for the ASCII structure of the grammar.
     bytes: &'a [u8],
+    /// Byte offset; only ever advanced past ASCII bytes or whole UTF-8
+    /// scalars, so it always sits on a char boundary of `src`.
     pos: usize,
 }
 
@@ -408,11 +413,12 @@ impl Parser<'_> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so the
-                    // byte sequence is valid by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("non-empty");
+                    // Consume one UTF-8 scalar, 1 to 4 bytes long.
+                    let c = self
+                        .src
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("string position inside a UTF-8 scalar"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -612,6 +618,26 @@ mod tests {
     }
 
     #[test]
+    fn parser_reads_multibyte_utf8_in_strings_and_keys() {
+        // 2-byte é, 3-byte €, 4-byte 𝄞 (U+1D11E), mixed with ASCII and
+        // escapes, as values and as keys.
+        let doc = "{\"é\": \"aé\", \"€uro\": \"1€\\n\", \"𝄞\": [\"𝄞𝄞x\"]}";
+        let v = JsonValue::parse(doc).unwrap();
+        assert_eq!(v.get("é").and_then(JsonValue::as_str), Some("aé"));
+        assert_eq!(v.get("€uro").and_then(JsonValue::as_str), Some("1€\n"));
+        let clef = v.get("𝄞").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(clef[0].as_str(), Some("𝄞𝄞x"));
+        // The writer's output parses back to the same text.
+        let mut o = JsonObject::new();
+        o.field_str("ключ€𝄞", "значение é € 𝄞");
+        let back = JsonValue::parse(&o.finish()).unwrap();
+        assert_eq!(
+            back.get("ключ€𝄞").and_then(JsonValue::as_str),
+            Some("значение é € 𝄞")
+        );
+    }
+
+    #[test]
     fn parser_rejects_malformed_documents() {
         for bad in [
             "",
@@ -622,6 +648,7 @@ mod tests {
             "01e",
             "1 2",
             "\"unterminated",
+            "\"unterminated é€𝄞",
             "{\"a\" 1}",
             "nul",
             "[1 2]",

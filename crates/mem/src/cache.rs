@@ -168,8 +168,13 @@ const INVALID_LINE: Line = Line {
 pub struct AccessOutcome {
     /// Whether the access hit.
     pub hit: bool,
-    /// A dirty victim line's base address, if one was written back.
-    pub writeback: Option<u64>,
+    /// State of the line before the access (`Invalid` on a miss).
+    pub prior: LineState,
+    /// Base address of the valid line evicted to make room, clean or
+    /// dirty (`None` on a hit or when the fill took an invalid way).
+    pub evicted: Option<u64>,
+    /// Whether the evicted line was dirty and had to be written back.
+    pub writeback: bool,
 }
 
 /// A set-associative tag-array cache with LRU replacement.
@@ -188,9 +193,10 @@ pub struct Cache {
     lines: Vec<Line>,
     stats: CacheStats,
     tick: u64,
-    /// Count of non-Invalid lines; lets coherence probes of untouched
-    /// caches (e.g. a checker core's never-used L1D) exit in O(1).
-    resident: usize,
+    /// `log2(line_bytes)`: address → line number.
+    line_shift: u32,
+    /// `log2(sets)`: line number → tag.
+    set_shift: u32,
 }
 
 impl Cache {
@@ -207,7 +213,8 @@ impl Cache {
             lines: vec![INVALID_LINE; n],
             stats: CacheStats::default(),
             tick: 0,
-            resident: 0,
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_shift: config.sets().trailing_zeros(),
         })
     }
 
@@ -227,16 +234,15 @@ impl Cache {
     }
 
     fn set_index(&self, addr: u64) -> usize {
-        let line = addr / self.config.line_bytes as u64;
-        (line as usize) & (self.config.sets() - 1)
+        ((addr >> self.line_shift) as usize) & ((1 << self.set_shift) - 1)
     }
 
     fn tag(&self, addr: u64) -> u64 {
-        (addr / self.config.line_bytes as u64) / self.config.sets() as u64
+        (addr >> self.line_shift) >> self.set_shift
     }
 
     fn line_base(&self, set: usize, tag: u64) -> u64 {
-        (tag * self.config.sets() as u64 + set as u64) * self.config.line_bytes as u64
+        ((tag << self.set_shift) | set as u64) << self.line_shift
     }
 
     fn set_range(&self, set: usize) -> std::ops::Range<usize> {
@@ -247,7 +253,8 @@ impl Cache {
     /// Performs an access; `write` marks the line Modified on hit or fill.
     ///
     /// Misses allocate (write-allocate policy) and may evict an LRU victim;
-    /// a dirty victim's address is reported for write-back accounting.
+    /// every valid victim's address is reported, and whether it was dirty
+    /// (write-back accounting).
     pub fn access(&mut self, addr: u64, write: bool) -> AccessOutcome {
         self.tick += 1;
         let set = self.set_index(addr);
@@ -258,6 +265,7 @@ impl Cache {
         for i in range.clone() {
             let line = &mut self.lines[i];
             if line.state != LineState::Invalid && line.tag == tag {
+                let prior = line.state;
                 line.lru = self.tick;
                 if write {
                     line.state = LineState::Modified;
@@ -265,7 +273,9 @@ impl Cache {
                 self.stats.hits += 1;
                 return AccessOutcome {
                     hit: true,
-                    writeback: None,
+                    prior,
+                    evicted: None,
+                    writeback: false,
                 };
             }
         }
@@ -281,16 +291,14 @@ impl Cache {
                     .expect("non-zero ways")
             });
 
-        let mut writeback = None;
         let old = self.lines[victim];
-        if old.state != LineState::Invalid {
+        let evicted = (old.state != LineState::Invalid).then(|| self.line_base(set, old.tag));
+        let writeback = old.state == LineState::Modified;
+        if evicted.is_some() {
             self.stats.evictions += 1;
-            if old.state == LineState::Modified {
-                self.stats.writebacks += 1;
-                writeback = Some(self.line_base(set, old.tag));
-            }
-        } else {
-            self.resident += 1;
+        }
+        if writeback {
+            self.stats.writebacks += 1;
         }
         self.lines[victim] = Line {
             tag,
@@ -303,6 +311,8 @@ impl Cache {
         };
         AccessOutcome {
             hit: false,
+            prior: LineState::Invalid,
+            evicted,
             writeback,
         }
     }
@@ -310,9 +320,6 @@ impl Cache {
     /// Looks up the state of the line containing `addr` without touching
     /// LRU or statistics.
     pub fn probe(&self, addr: u64) -> LineState {
-        if self.resident == 0 {
-            return LineState::Invalid;
-        }
         let set = self.set_index(addr);
         let tag = self.tag(addr);
         for i in self.set_range(set) {
@@ -338,7 +345,6 @@ impl Cache {
                 }
                 self.stats.invalidations += 1;
                 line.state = LineState::Invalid;
-                self.resident -= 1;
                 return old;
             }
         }
@@ -361,17 +367,11 @@ impl Cache {
         false
     }
 
-    /// Number of resident (non-invalid) lines.
-    pub fn resident_lines(&self) -> usize {
-        self.resident
-    }
-
     /// Invalidates everything (e.g. at task-image reload).
     pub fn flush_all(&mut self) {
         for line in &mut self.lines {
             *line = INVALID_LINE;
         }
-        self.resident = 0;
     }
 }
 
@@ -450,7 +450,14 @@ mod tests {
         c.access(0x000, true); // dirty
         c.access(0x100, false);
         let out = c.access(0x200, false); // evicts dirty 0x000
-        assert_eq!(out.writeback, Some(0x000));
+        assert_eq!(out.evicted, Some(0x000));
+        assert!(out.writeback);
+        assert_eq!(c.stats().writebacks, 1);
+        // A clean victim is reported too, without a write-back.
+        let out = c.access(0x300, false); // evicts clean 0x100
+        assert_eq!(out.evicted, Some(0x100));
+        assert!(!out.writeback);
+        assert_eq!(c.stats().evictions, 2);
         assert_eq!(c.stats().writebacks, 1);
     }
 
@@ -492,9 +499,12 @@ mod tests {
         let mut c = tiny();
         c.access(0x0, true);
         c.access(0x40, false);
-        assert_eq!(c.resident_lines(), 2);
+        assert_eq!(c.probe(0x0), LineState::Modified);
+        assert_eq!(c.probe(0x40), LineState::Shared);
         c.flush_all();
-        assert_eq!(c.resident_lines(), 0);
+        assert_eq!(c.probe(0x0), LineState::Invalid);
+        assert_eq!(c.probe(0x40), LineState::Invalid);
+        assert!(!c.access(0x0, false).hit);
     }
 
     #[test]

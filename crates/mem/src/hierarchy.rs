@@ -3,13 +3,16 @@
 //!
 //! Functional data always lives in [`PhysMem`]; the caches answer *how
 //! long* each access takes (Tab. II latencies) and keep MSI state so that
-//! cross-core sharing costs snoop traffic, as on the FPGA platform.
+//! cross-core sharing costs snoop traffic, as on the FPGA platform. An
+//! exact sharer directory records which cores' L1Ds hold each data line,
+//! so a snoop visits only those caches.
 //!
 //! The simulation engine is single-threaded and interleaves cores
 //! cycle-by-cycle, so memory is sequentially consistent by construction;
 //! coherence here is purely a timing/state model.
 
 use crate::cache::{Cache, CacheConfig, CacheGeometryError, CacheStats, LineState};
+use crate::directory::{for_each_sharer, SharerDirectory};
 use crate::phys::PhysMem;
 
 /// Kind of memory access, for routing and statistics.
@@ -136,6 +139,10 @@ pub struct MemorySystem {
     latency: LatencyConfig,
     snoops: u64,
     journals: Vec<Option<UndoJournal>>,
+    /// Which cores' L1Ds hold each data line (see [`crate::directory`]).
+    directory: SharerDirectory,
+    /// `log2` of the L1D line size: address → directory line number.
+    l1d_line_shift: u32,
 }
 
 impl MemorySystem {
@@ -160,6 +167,8 @@ impl MemorySystem {
             latency: config.latency,
             snoops: 0,
             journals,
+            directory: SharerDirectory::new(num_cores),
+            l1d_line_shift: config.l1d.line_bytes.trailing_zeros(),
         })
     }
 
@@ -277,6 +286,26 @@ impl MemorySystem {
         self.l2.stats()
     }
 
+    /// State of the line containing `addr` in `core`'s L1D, without
+    /// touching LRU or statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
+    pub fn l1d_state(&self, core: usize, addr: u64) -> LineState {
+        self.cores[core].l1d.probe(addr)
+    }
+
+    /// The cores whose L1D holds the line containing `addr`, ascending,
+    /// as the sharer directory records them.
+    pub fn l1d_sharers(&self, addr: u64) -> Vec<usize> {
+        let mut out = Vec::new();
+        if let Some(set) = self.directory.sharers(addr >> self.l1d_line_shift) {
+            for_each_sharer(set, usize::MAX, |c| out.push(c));
+        }
+        out
+    }
+
     /// Invalidate every cache (e.g. after loading a fresh program image).
     pub fn flush_all(&mut self) {
         for c in &mut self.cores {
@@ -284,6 +313,7 @@ impl MemorySystem {
             c.l1d.flush_all();
         }
         self.l2.flush_all();
+        self.directory.clear();
     }
 
     /// Walks L1 → L2 → DRAM for timing, returning cycles.
@@ -291,16 +321,28 @@ impl MemorySystem {
         let write = kind == AccessKind::Write;
         let mut cycles = self.latency.l1_hit;
 
-        // Coherence first: a data access may need to snoop remote L1Ds.
-        if kind != AccessKind::Fetch {
-            cycles += self.coherence_actions(core, addr, write);
-        }
-
-        let l1 = match kind {
-            AccessKind::Fetch => &mut self.cores[core].l1i,
-            _ => &mut self.cores[core].l1d,
+        let l1_out = if kind == AccessKind::Fetch {
+            self.cores[core].l1i.access(addr, false)
+        } else {
+            let out = self.cores[core].l1d.access(addr, write);
+            // MSI: only a miss or a write to a Shared copy goes to the
+            // bus. A read hit needs nothing, since no other L1D can hold
+            // the line Modified while this one holds it. A write hit on
+            // Modified needs nothing either, since no other L1D holds the
+            // line at all. The snoops touch only other cores' L1Ds, so
+            // doing them after this core's own lookup changes nothing.
+            if !out.hit || (write && out.prior == LineState::Shared) {
+                let line = addr >> self.l1d_line_shift;
+                cycles += self.coherence_actions(core, line, addr, write);
+                if !out.hit {
+                    if let Some(victim) = out.evicted {
+                        self.directory.remove(victim >> self.l1d_line_shift, core);
+                    }
+                    self.directory.insert(line, core);
+                }
+            }
+            out
         };
-        let l1_out = l1.access(addr, write);
         if l1_out.hit {
             return cycles;
         }
@@ -313,36 +355,42 @@ impl MemorySystem {
         }
         // Dirty evictions drain to the next level; modelled as one extra
         // L2 (for L1 victims) or DRAM (for L2 victims) trip.
-        if l1_out.writeback.is_some() {
+        if l1_out.writeback {
             cycles += self.latency.l2_hit;
         }
-        if l2_out.writeback.is_some() {
+        if l2_out.writeback {
             cycles += self.latency.dram;
         }
         cycles
     }
 
     /// MSI snooping: writes invalidate remote copies, reads downgrade
-    /// remote Modified lines. Returns the added latency.
-    fn coherence_actions(&mut self, core: usize, addr: u64, write: bool) -> u64 {
-        let mut cycles = 0;
-        for (i, other) in self.cores.iter_mut().enumerate() {
-            if i == core {
-                continue;
-            }
-            if write {
-                if other.l1d.probe(addr) != LineState::Invalid {
-                    other.l1d.invalidate(addr);
-                    self.snoops += 1;
-                    cycles += self.latency.snoop;
-                }
-            } else if other.l1d.probe(addr) == LineState::Modified {
-                other.l1d.downgrade(addr);
-                self.snoops += 1;
-                cycles += self.latency.snoop;
-            }
+    /// remote Modified lines. Only the sharers the directory lists for
+    /// `line` are snooped. Returns the added latency.
+    fn coherence_actions(&mut self, core: usize, line: u64, addr: u64, write: bool) -> u64 {
+        let Some(sharers) = self.directory.sharers(line) else {
+            return 0;
+        };
+        let mut snoops = 0;
+        let cores = &mut self.cores;
+        for_each_sharer(sharers, core, |i| {
+            let l1d = &mut cores[i].l1d;
+            let snooped = if write {
+                l1d.invalidate(addr) != LineState::Invalid
+            } else {
+                l1d.downgrade(addr)
+            };
+            debug_assert!(
+                snooped || !write,
+                "directory lists core {i} for a line its L1D does not hold"
+            );
+            snoops += u64::from(snooped);
+        });
+        if write && snoops > 0 {
+            self.directory.retain_only(line, core);
         }
-        cycles
+        self.snoops += snoops;
+        snoops * self.latency.snoop
     }
 
     /// Fetches a 32-bit instruction word. Returns `(word, cycles)`.

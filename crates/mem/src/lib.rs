@@ -27,6 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+mod directory;
 pub mod hierarchy;
 pub mod phys;
 

@@ -15,14 +15,14 @@ const PAGE_SHIFT: u32 = 12;
 /// Page size of the sparse backing store (4 KiB).
 pub const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 
-/// Multiplicative page-index hasher. The page map sits on the
-/// one-lookup-per-memory-access hot path of the simulator; page indices
-/// are small, trusted integers, so SipHash's DoS resistance buys nothing
-/// and its latency is pure overhead.
+/// Multiplicative hasher for small, trusted integer keys: page indices
+/// here, L1D line numbers in the sharer directory. Both maps sit on the
+/// one-lookup-per-memory-access hot path of the simulator, so SipHash's
+/// DoS resistance buys nothing and its latency is pure overhead.
 #[derive(Debug, Clone, Copy, Default)]
-struct PageHasher(u64);
+pub(crate) struct IntHasher(u64);
 
-impl Hasher for PageHasher {
+impl Hasher for IntHasher {
     #[inline]
     fn finish(&self) -> u64 {
         self.0
@@ -40,15 +40,16 @@ impl Hasher for PageHasher {
     }
 }
 
+/// Builds [`IntHasher`]s.
 #[derive(Debug, Clone, Copy, Default)]
-struct BuildPageHasher;
+pub(crate) struct BuildIntHasher;
 
-impl BuildHasher for BuildPageHasher {
-    type Hasher = PageHasher;
+impl BuildHasher for BuildIntHasher {
+    type Hasher = IntHasher;
 
     #[inline]
-    fn build_hasher(&self) -> PageHasher {
-        PageHasher(0)
+    fn build_hasher(&self) -> IntHasher {
+        IntHasher(0)
     }
 }
 
@@ -68,7 +69,7 @@ impl BuildHasher for BuildPageHasher {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PhysMem {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>, BuildPageHasher>,
+    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>, BuildIntHasher>,
 }
 
 impl PhysMem {

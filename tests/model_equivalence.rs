@@ -18,7 +18,8 @@ use flexstep::core::{
     FabricConfig, FaultPlan, RecoveryPolicy, ReliabilityMode, Scenario, Topology, VerifiedRun,
 };
 use flexstep::isa::asm::{Assembler, Program};
-use flexstep::isa::XReg;
+use flexstep::isa::inst::{AmoOp, AmoWidth};
+use flexstep::isa::{Inst, XReg};
 use std::path::PathBuf;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -61,6 +62,38 @@ fn checksum_job(slot: u64, iters: i64) -> Program {
     asm.sd(XReg::A2, XReg::A0, 0);
     asm.ld(XReg::A3, XReg::A2, 0);
     asm.add(XReg::A4, XReg::A4, XReg::A3);
+    asm.addi(XReg::A0, XReg::A0, -1);
+    asm.bnez(XReg::A0, "l");
+    asm.ecall();
+    asm.finish().unwrap()
+}
+
+/// Base of the one data line every [`shared_line_job`] main touches.
+const SHARED_LINE: u64 = 0x3000_0000;
+
+/// A store / AMO / load loop on one data line shared by every main:
+/// each iteration invalidates the other mains' L1D copies (the store
+/// and the `amoadd`) and downgrades a remote Modified copy (the load
+/// of a neighbour's word), so the MSI snoop path fires throughout.
+fn shared_line_job(slot: u64, mains: u64, iters: i64) -> Program {
+    let text = 0x1000_0000 + slot * 0x10_0000;
+    let data = 0x2000_0000 + slot * 0x10_0000;
+    let mut asm = Assembler::with_bases(format!("sh{slot}"), text, data);
+    asm.li(XReg::A2, SHARED_LINE as i64);
+    asm.li(XReg::A0, iters);
+    asm.li(XReg::A5, 1);
+    asm.label("l").unwrap();
+    asm.sd(XReg::A2, XReg::A0, (slot * 8) as i64);
+    asm.addi(XReg::T2, XReg::A2, 56);
+    asm.push(Inst::Amo {
+        op: AmoOp::Add,
+        width: AmoWidth::D,
+        rd: XReg::A3,
+        rs1: XReg::T2,
+        rs2: XReg::A5,
+    });
+    asm.ld(XReg::A4, XReg::A2, (((slot + 1) % mains) * 8) as i64);
+    asm.add(XReg::A3, XReg::A3, XReg::A4);
     asm.addi(XReg::A0, XReg::A0, -1);
     asm.bnez(XReg::A0, "l");
     asm.ecall();
@@ -117,6 +150,27 @@ fn shared_checker_faulty_report_matches_golden() {
         "shared_faulty.report.json",
         &run_report(scenario.build().unwrap()),
     );
+}
+
+#[test]
+fn shared_line_snoop_report_matches_golden() {
+    let programs: Vec<Program> = (0..6).map(|i| shared_line_job(i, 6, 400)).collect();
+    let mut scenario = Scenario::new(&programs[0])
+        .cores(8)
+        .topology(Topology::SharedChecker { checkers: 2 })
+        .fabric(FabricConfig::paper());
+    for p in &programs[1..] {
+        scenario = scenario.program(p);
+    }
+    let mut run = scenario.build().unwrap();
+    let report = run.run_to_completion(u64::MAX);
+    assert!(report.completed, "shared-line run must complete");
+    assert_eq!(report.segments_failed, 0, "a fault-free run verifies clean");
+    // Every iteration's AMO landed exactly once, whatever the interleaving.
+    let mem = &run.soc().mem;
+    assert_eq!(mem.phys().read_u64(SHARED_LINE + 56), 6 * 400);
+    assert!(mem.snoop_count() > 0, "the shared line must draw snoops");
+    assert_golden("shared_line.report.json", &report.to_json());
 }
 
 #[test]

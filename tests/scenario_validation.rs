@@ -4,11 +4,12 @@
 //! `dual_core`/`triple_core` constructor shims used to carry).
 
 use flexstep::core::{
-    FabricConfig, FaultPlan, FaultTarget, PairingSchedule, ReliabilityMode, RunReport, Scenario,
-    ScenarioError, Topology,
+    FabricConfig, FaultPlan, FaultTarget, PairingSchedule, ReliabilityMode, RunReport, RunWarning,
+    Scenario, ScenarioError, Topology,
 };
 use flexstep::isa::asm::{Assembler, Program};
 use flexstep::isa::XReg;
+use flexstep::sim::TrapCause;
 
 fn store_loop(n: i64) -> Program {
     let mut asm = Assembler::new("store_loop");
@@ -296,4 +297,80 @@ fn scenario_builds_are_self_deterministic() {
             .run_to_completion(100_000_000)
     };
     assert_bit_identical(&run_once(), &run_once(), "repeat build");
+}
+
+// ---------------------------------------------------------------------------
+// Guest traps on a main core
+// ---------------------------------------------------------------------------
+
+/// A store loop in a private window per slot; with `trap`, it ends in a
+/// misaligned `ld` instead of reaching its `ecall`. Returns the program
+/// and the trapping load's pc.
+fn windowed_loop(slot: u64, n: i64, trap: bool) -> (Program, u64) {
+    let data = 0x2000_0000 + slot * 0x10_0000;
+    let mut asm = Assembler::with_bases(format!("win{slot}"), 0x1000_0000 + slot * 0x10_0000, data);
+    asm.li(XReg::A1, n);
+    asm.li(XReg::A2, data as i64);
+    asm.label("loop").unwrap();
+    asm.sd(XReg::A2, XReg::A1, 0);
+    asm.addi(XReg::A1, XReg::A1, -1);
+    asm.bnez(XReg::A1, "loop");
+    let pc = asm.here();
+    if trap {
+        asm.ld(XReg::A3, XReg::A2, 3);
+    }
+    asm.ecall();
+    (asm.finish().unwrap(), pc)
+}
+
+#[test]
+fn main_trap_is_a_typed_warning_not_a_panic() {
+    // Three mains share one checker; the middle one hits a misaligned
+    // load. It is parked, the others finish, and the checker drains
+    // everything the trapped main produced before the trap.
+    let (p0, _) = windowed_loop(0, 400, false);
+    let (p1, trap_pc) = windowed_loop(1, 300, true);
+    let (p2, _) = windowed_loop(2, 500, false);
+    let mut run = Scenario::new(&p0)
+        .program(&p1)
+        .program(&p2)
+        .cores(4)
+        .topology(Topology::SharedChecker { checkers: 1 })
+        .fabric(FabricConfig::paper())
+        .build()
+        .unwrap();
+    let report = run.run_to_completion(100_000_000);
+    assert!(!run.step_once(), "the run must finish despite the trap");
+    assert!(!report.completed, "a trapped main did not reach its ecall");
+    let done: Vec<bool> = report.per_main.iter().map(|m| m.completed).collect();
+    assert_eq!(done, vec![true, false, true]);
+    assert_eq!(report.per_main[1].finish_cycle, 0);
+    assert!(report.per_main[1].retired > 0);
+    assert_eq!(
+        report.warnings,
+        vec![RunWarning::MainTrapped {
+            main: 1,
+            cause: TrapCause::LoadAddrMisaligned,
+            pc: trap_pc,
+            tval: 0x2010_0003,
+        }]
+    );
+    assert_eq!(report.segments_failed, 0, "pre-trap work verifies clean");
+    assert!(report.segments_checked > 0);
+    let json = report.to_json();
+    assert!(json.contains(r#"{"kind": "main_trapped", "main": 1, "cause": "LoadAddrMisaligned", "#));
+}
+
+#[test]
+fn paired_main_trap_ends_the_run() {
+    let (p, trap_pc) = windowed_loop(0, 200, true);
+    let mut run = Scenario::new(&p).cores(2).build().unwrap();
+    let report = run.run_to_completion(100_000_000);
+    assert!(!run.step_once());
+    assert!(!report.completed);
+    assert!(!report.per_main[0].completed);
+    assert!(matches!(
+        report.warnings.as_slice(),
+        [RunWarning::MainTrapped { main: 0, pc, .. }] if *pc == trap_pc
+    ));
 }
