@@ -381,4 +381,14 @@ mod tests {
             assert!(JobSpec::parse(bad).is_err(), "must reject: {bad}");
         }
     }
+
+    #[test]
+    fn deeply_nested_specs_are_a_typed_error() {
+        // A spec file of nothing but `[` must not overflow the stack.
+        let deep = format!("{{\"version\": {}", "[".repeat(100_000));
+        match JobSpec::parse(&deep) {
+            Err(CampaignError::Spec(msg)) => assert!(msg.contains("nesting"), "{msg}"),
+            other => panic!("expected CampaignError::Spec, got {other:?}"),
+        }
+    }
 }

@@ -4,8 +4,8 @@
 //! paper's dual-core (Fig. 4) and triple-core (Fig. 6) single-workload
 //! configurations up to many-core SoCs with arbitrated shared checkers
 //! (Fig. 8-style) — through its guest programs without a full OS: it
-//! interleaves ready cores, executes the scenario's fault plan, feeds
-//! observers, and produces a [`RunReport`].
+//! interleaves ready cores, executes the scenario's fault plan, emits
+//! the run's [`RunEvent`] stream, and produces a [`RunReport`].
 //!
 //! Construct runs with [`Scenario`](crate::Scenario) (the old `dual_core`/`triple_core`
 //! constructor shims are gone; `tests/scenario_validation.rs` pins the
@@ -16,12 +16,11 @@ use crate::detect::{DetectionEvent, SegmentResult};
 use crate::engine::{EngineStep, FlexSoc};
 use crate::fabric::{Fabric, FabricConfig};
 use crate::scenario::{
-    Binding, FaultDriver, FaultPlan, Injection, Observer, RecoveryPolicy, ResolvedTopology,
-    ScenarioError,
+    Binding, FaultDriver, FaultPlan, Injection, RecoveryPolicy, ResolvedTopology, ScenarioError,
 };
 use crate::share::{ArbiterStats, CheckerArbiter};
-use crate::sink::{EventBuffer, RunEvent};
-use crate::trace::TraceObserver;
+use crate::sink::RunEvent;
+use crate::trace::ChromeTrace;
 use flexstep_isa::asm::Program;
 use flexstep_mem::cache::CacheGeometryError;
 use flexstep_sim::{
@@ -450,14 +449,13 @@ pub struct VerifiedRun {
     trapped: Vec<bool>,
     finish_cycle: Vec<u64>,
     steps: u64,
-    observers: Vec<Box<dyn Observer + Send>>,
     faults: FaultDriver,
     injections: Vec<Injection>,
     /// Chrome-trace export configured via [`Scenario::trace_to`]:
-    /// the destination path and the owned recording observer.
-    trace: Option<(std::path::PathBuf, TraceObserver)>,
+    /// the destination path and the owned trace.
+    trace: Option<(std::path::PathBuf, ChromeTrace)>,
     /// Owned event recording enabled via [`Scenario::record_events`].
-    recorded: Option<EventBuffer>,
+    recorded: Option<Vec<RunEvent>>,
     /// Rollback bookkeeping, one slot per main; `None` under
     /// [`RecoveryPolicy::Detect`] so the detect path stays untouched.
     recovery: Option<RecoveryState>,
@@ -617,15 +615,13 @@ impl std::fmt::Debug for VerifiedRun {
             .field("arbiters", &self.arbiters.len())
             .field("done", &self.done)
             .field("steps", &self.steps)
-            .field("observers", &self.observers.len())
             .finish_non_exhaustive()
     }
 }
 
-// The tentpole guarantee of the event-sink design: a built run (with
-// its observers, trace recorder, and event buffer) can migrate across
-// worker threads. Regressing any field to a shared handle breaks this
-// assertion at compile time.
+// The guarantee of the event-sink design: a built run (with its trace
+// and recorded events) can migrate across worker threads. Regressing
+// any field to a shared handle breaks this assertion at compile time.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<VerifiedRun>();
@@ -650,8 +646,7 @@ impl VerifiedRun {
         sched_mode: Option<flexstep_sim::SchedMode>,
         fault_plan: FaultPlan,
         recovery_policy: RecoveryPolicy,
-        observers: Vec<Box<dyn Observer + Send>>,
-        trace: Option<(std::path::PathBuf, TraceObserver)>,
+        trace: Option<(std::path::PathBuf, ChromeTrace)>,
         record_events: bool,
         models: Vec<flexstep_sim::CoreModelKind>,
         modes: Vec<ReliabilityMode>,
@@ -790,11 +785,10 @@ impl VerifiedRun {
             trapped: vec![false; n],
             finish_cycle: vec![0; n],
             steps: 0,
-            observers,
             faults: FaultDriver::new(fault_plan),
             injections: Vec::new(),
             trace,
-            recorded: record_events.then(EventBuffer::new),
+            recorded: record_events.then(Vec::new),
             recovery,
             dead_checkers: vec![false; num_checkers],
             checkers_lost: 0,
@@ -824,25 +818,21 @@ impl VerifiedRun {
         Ok(run)
     }
 
-    /// Dispatches one event to every attached sink: live observers
-    /// first, then the by-value trace observer, then the recorded
-    /// buffer. One choke point keeps the three views consistent.
+    /// Feeds one event to both sinks: the trace, then the recording.
+    /// Every event goes through here, so the two always agree.
     fn emit(&mut self, ev: RunEvent) {
-        for o in &mut self.observers {
-            ev.dispatch(o.as_mut());
-        }
         if let Some((_, t)) = &mut self.trace {
-            ev.dispatch(t);
+            t.record(&ev);
         }
-        if let Some(buf) = &mut self.recorded {
-            buf.push(ev);
+        if let Some(events) = &mut self.recorded {
+            events.push(ev);
         }
     }
 
-    /// Whether any sink is attached (observer dispatch is skipped
+    /// Whether any sink is attached (event construction is skipped
     /// entirely on unobserved runs — the hot campaign path).
     fn observing(&self) -> bool {
-        !self.observers.is_empty() || self.trace.is_some() || self.recorded.is_some()
+        self.trace.is_some() || self.recorded.is_some()
     }
 
     // ----- accessors --------------------------------------------------------
@@ -917,7 +907,7 @@ impl VerifiedRun {
     /// The Chrome-trace recorder configured via [`Scenario::trace_to`](crate::Scenario::trace_to)
     /// (`None` when tracing is off). Borrow it to read the trace
     /// mid-run.
-    pub fn trace(&self) -> Option<&TraceObserver> {
+    pub fn trace(&self) -> Option<&ChromeTrace> {
         self.trace.as_ref().map(|(_, t)| t)
     }
 
@@ -939,25 +929,17 @@ impl VerifiedRun {
         }
     }
 
-    /// The recorded event buffer enabled via
-    /// [`Scenario::record_events`](crate::Scenario::record_events) (`None` when recording is off).
-    pub fn events(&self) -> Option<&EventBuffer> {
-        self.recorded.as_ref()
+    /// The events recorded via
+    /// [`Scenario::record_events`](crate::Scenario::record_events), in
+    /// emission order (`None` when recording is off).
+    pub fn events(&self) -> Option<&[RunEvent]> {
+        self.recorded.as_deref()
     }
 
-    /// Replays the recorded event buffer into `observer` — the post-run
-    /// equivalent of having attached it live. A no-op when
-    /// [`Scenario::record_events`](crate::Scenario::record_events) was not enabled.
-    pub fn replay_events(&self, observer: &mut dyn Observer) {
-        if let Some(buf) = &self.recorded {
-            buf.replay(observer);
-        }
-    }
-
-    /// Takes ownership of the recorded event buffer, leaving recording
-    /// enabled with a fresh empty buffer (`None` when recording is
-    /// off). Workers hand buffers to an aggregator this way.
-    pub fn take_events(&mut self) -> Option<EventBuffer> {
+    /// Takes ownership of the recorded events, leaving recording
+    /// enabled with a fresh empty list (`None` when recording is off).
+    /// Workers hand recordings to an aggregator this way.
+    pub fn take_events(&mut self) -> Option<Vec<RunEvent>> {
         self.recorded.as_mut().map(std::mem::take)
     }
 
@@ -998,13 +980,11 @@ impl VerifiedRun {
     }
 
     /// Expires every still-pending shot (the run is complete; nothing
-    /// is left to corrupt) and notifies observers. Idempotent.
+    /// is left to corrupt) and emits their expiries. Idempotent.
     fn expire_remaining_shots(&mut self) {
         let now = self.fs.soc.now();
         for channel in self.faults.expire_remaining() {
-            let main = self.mains[channel];
-            self.note_unchecked_expiry(channel, now);
-            self.emit(RunEvent::ShotExpired { main, cycle: now });
+            self.shot_expired(channel, now);
         }
         self.sync_fault_memo_blocks();
     }
@@ -1156,21 +1136,22 @@ impl VerifiedRun {
         self.emit(RunEvent::CheckerAcquired { main, cycle: now });
     }
 
-    /// Raises the typed warning when a shot expires while its target
-    /// main runs unchecked *by policy* (mode or released window): such
-    /// shots must never vanish silently.
-    fn note_unchecked_expiry(&mut self, channel: usize, now: u64) {
-        if !self.mode_tracking {
-            return;
-        }
-        let policy_unchecked = !self.modes[channel].is_checked()
-            || self.pairing.as_ref().is_some_and(|p| p.released[channel]);
+    /// Records one expired shot on `channel`, from either expiry path
+    /// (mid-run or end-of-run): emits its event and raises the typed
+    /// warning when its target main runs unchecked *by policy* (mode or
+    /// released window), since such shots must never vanish silently.
+    fn shot_expired(&mut self, channel: usize, now: u64) {
+        let main = self.mains[channel];
+        let policy_unchecked = self.mode_tracking
+            && (!self.modes[channel].is_checked()
+                || self.pairing.as_ref().is_some_and(|p| p.released[channel]));
         if policy_unchecked {
             self.warnings.push(RunWarning::ShotInUncheckedWindow {
-                main: self.mains[channel],
+                main,
                 at_cycle: now,
             });
         }
+        self.emit(RunEvent::ShotExpired { main, cycle: now });
     }
 
     /// Reverses the done-handling of a main that must resume producing
@@ -1602,11 +1583,7 @@ impl VerifiedRun {
                 self.injections.push(injection);
             }
             for channel in expired {
-                let main = self.mains[channel];
-                self.note_unchecked_expiry(channel, now);
-                for o in &mut self.observers {
-                    o.on_shot_expired(main, now);
-                }
+                self.shot_expired(channel, now);
             }
             for checker_idx in kills {
                 self.kill_checker(checker_idx);
@@ -1696,7 +1673,7 @@ impl VerifiedRun {
             }
         }
         if self.observing() {
-            self.notify_observers(core, seg_before, &step);
+            self.emit_step_events(core, seg_before, &step);
         }
         if self.recovery.is_some() {
             self.handle_recovery_step(core, &step);
@@ -1727,7 +1704,7 @@ impl VerifiedRun {
     }
 
     /// Emits the sink events for one engine step.
-    fn notify_observers(
+    fn emit_step_events(
         &mut self,
         core: usize,
         seg_before: Option<Option<u64>>,
@@ -1942,7 +1919,7 @@ pub fn baseline_cycles(
 mod tests {
     use super::*;
     use crate::fault::FaultTarget;
-    use crate::scenario::{RecordingObserver, Scenario, Topology};
+    use crate::scenario::{Scenario, Topology};
     use flexstep_isa::asm::Assembler;
     use flexstep_isa::XReg;
 
@@ -2346,11 +2323,10 @@ mod tests {
 
     #[test]
     fn check_fail_fires_before_the_matching_detection() {
-        // The Observer doc promises: "the matching detection event
-        // follows via on_detection". Pin the emission order — every
-        // Detection must be immediately preceded by the CheckFail for
-        // the same checker and segment.
-        use crate::scenario::ObserverEvent;
+        // The RunEvent doc promises: "CheckFail is immediately followed
+        // by its Detection". Pin the emission order — every Detection
+        // must be immediately preceded by the CheckFail for the same
+        // checker and segment.
         let p = store_loop(4000);
         let mut run = Scenario::new(&p)
             .cores(2)
@@ -2360,21 +2336,19 @@ mod tests {
             .unwrap();
         let r = run.run_to_completion(50_000_000);
         assert!(!r.detections.is_empty(), "the flip must be caught");
-        let mut rec = RecordingObserver::new();
-        run.replay_events(&mut rec);
-        let events = rec.events();
+        let events = run.events().expect("recording enabled");
         let mut detections_seen = 0;
         for (i, e) in events.iter().enumerate() {
-            if let ObserverEvent::Detection(d) = e {
+            if let RunEvent::Detection(d) = e {
                 detections_seen += 1;
                 assert!(i > 0, "a detection can never be the first event");
                 assert!(
                     matches!(
                         &events[i - 1],
-                        ObserverEvent::CheckFail(checker, seq, _)
-                            if *checker == d.checker_core && *seq == d.segment_seq
+                        RunEvent::CheckFail { checker, result }
+                            if *checker == d.checker_core && result.seq == d.segment_seq
                     ),
-                    "on_check_fail must immediately precede on_detection \
+                    "CheckFail must immediately precede Detection \
                      for the same segment; got {:?} before {:?}",
                     events[i - 1],
                     e
@@ -2389,27 +2363,24 @@ mod tests {
         // Every pass/fail verdict must have been preceded by a
         // CheckStart for the same checker and segment — the pairing the
         // trace exporter turns into checker-occupancy spans.
-        use crate::scenario::ObserverEvent;
         let p = store_loop(2000);
         let mut run = Scenario::new(&p).cores(2).record_events().build().unwrap();
         let r = run.run_to_completion(10_000_000);
         assert!(r.completed);
-        let mut rec = RecordingObserver::new();
-        run.replay_events(&mut rec);
-        let events = rec.events();
+        let events = run.events().expect("recording enabled");
         let mut open: Option<(usize, u64)> = None;
         let mut verdicts = 0;
         for e in events {
             match e {
-                ObserverEvent::CheckStart(checker, _main, seq, _) => {
+                RunEvent::CheckStart { checker, seq, .. } => {
                     assert_eq!(open, None, "a checker cannot start two replays at once");
                     open = Some((*checker, *seq));
                 }
-                ObserverEvent::CheckPass(checker, seq, _)
-                | ObserverEvent::CheckFail(checker, seq, _) => {
+                RunEvent::CheckPass { checker, result }
+                | RunEvent::CheckFail { checker, result } => {
                     assert_eq!(
                         open.take(),
-                        Some((*checker, *seq)),
+                        Some((*checker, result.seq)),
                         "verdict without a matching CheckStart"
                     );
                     verdicts += 1;
@@ -2423,7 +2394,6 @@ mod tests {
 
     #[test]
     fn expired_shots_notify_observers() {
-        use crate::scenario::ObserverEvent;
         let p = store_loop(300);
         let mut run = Scenario::new(&p)
             .cores(2)
@@ -2433,19 +2403,17 @@ mod tests {
             .unwrap();
         let r = run.run_to_completion(50_000_000);
         assert_eq!(r.shots_expired, 1);
-        let mut rec = RecordingObserver::new();
-        run.replay_events(&mut rec);
-        let expiries: Vec<_> = rec
+        let expiries: Vec<_> = run
             .events()
+            .expect("recording enabled")
             .iter()
-            .filter(|e| matches!(e, ObserverEvent::ShotExpired(0, _)))
+            .filter(|e| matches!(e, RunEvent::ShotExpired { main: 0, .. }))
             .collect();
         assert_eq!(expiries.len(), 1, "one expiry event for the one shot");
     }
 
     #[test]
     fn shared_checker_grants_are_observable() {
-        use crate::scenario::ObserverEvent;
         use flexstep_isa::asm::Assembler;
         let job = |slot: u64, iters: i64| {
             let mut asm = Assembler::with_bases(
@@ -2472,13 +2440,16 @@ mod tests {
         let r = run.run_to_completion(50_000_000);
         assert!(r.completed);
         assert_eq!(r.arbiters[0].switches, 1, "one hand-over");
-        let mut rec = RecordingObserver::new();
-        run.replay_events(&mut rec);
-        let grants: Vec<(usize, usize, u64)> = rec
+        let grants: Vec<(usize, usize, u64)> = run
             .events()
+            .expect("recording enabled")
             .iter()
-            .filter_map(|e| match e {
-                ObserverEvent::CheckerGranted(c, m, at) => Some((*c, *m, *at)),
+            .filter_map(|e| match *e {
+                RunEvent::CheckerGranted {
+                    checker,
+                    main,
+                    cycle,
+                } => Some((checker, main, cycle)),
                 _ => None,
             })
             .collect();
@@ -2515,13 +2486,20 @@ mod tests {
         let mut plain = dual(&p, FabricConfig::paper());
         let rp = plain.run_to_completion(10_000_000);
 
+        // The trace path is only written by `write_trace`, never here.
         let mut run = Scenario::new(&p)
             .cores(2)
-            .observer(RecordingObserver::new())
+            .record_events()
+            .trace_to("unused.trace.json")
             .build()
             .unwrap();
         let r = run.run_to_completion(10_000_000);
-        assert_eq!(rp, r, "observers must not perturb the run");
+        assert_eq!(rp, r, "event sinks must not perturb the run");
+        let events = run.events().expect("recording enabled");
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, RunEvent::SegmentOpen { .. })));
+        assert!(run.trace().expect("tracing enabled").spans_recorded() > 0);
     }
 
     #[test]
@@ -2685,6 +2663,8 @@ mod tests {
             .cores(4)
             .topology(Topology::PairedLockstep)
             .fault_plan(FaultPlan::none().then_random_at(10_000).on_channel(0))
+            .record_events()
+            .trace_to("unused.trace.json")
             .build()
             .unwrap();
         // The shot arms at 10k cycles: main 0 (~100 iterations) drains
@@ -2704,6 +2684,21 @@ mod tests {
         assert!(r.injections.is_empty());
         assert_eq!(r.shots_armed, 1);
         assert_eq!(r.shots_expired, 1);
+        // The mid-run expiry reaches both sinks, like every other event.
+        let main0 = run.mains()[0];
+        let expiries: Vec<u64> = run
+            .events()
+            .expect("recording enabled")
+            .iter()
+            .filter_map(|e| match *e {
+                RunEvent::ShotExpired { main, cycle } if main == main0 => Some(cycle),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(expiries.len(), 1, "{expiries:?}");
+        assert!(expiries[0] >= 10_000, "expired before arming: {expiries:?}");
+        let json = run.trace().expect("tracing enabled").to_chrome_json();
+        assert_eq!(json.matches("\"shot expired\"").count(), 1);
     }
 
     #[test]

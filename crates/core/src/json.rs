@@ -207,6 +207,12 @@ pub enum JsonValue {
     Object(Vec<(String, JsonValue)>),
 }
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The
+/// parser recurses once per level, so without a bound a malformed file
+/// of a few hundred kilobytes of `[` would overflow the stack; 128 is
+/// far above any document the repo writes.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse failure: the byte offset and a short description.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonParseError {
@@ -230,12 +236,14 @@ impl JsonValue {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonParseError`] locating the first malformed byte.
+    /// Returns a [`JsonParseError`] locating the first malformed byte,
+    /// or the first container nested deeper than [`MAX_DEPTH`].
     pub fn parse(input: &str) -> Result<JsonValue, JsonParseError> {
         let mut p = Parser {
             src: input,
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -319,6 +327,8 @@ struct Parser<'a> {
     /// Byte offset; only ever advanced past ASCII bytes or whole UTF-8
     /// scalars, so it always sits on a char boundary of `src`.
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -363,8 +373,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(format!("unexpected '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
@@ -466,6 +476,21 @@ impl Parser<'_> {
             .expect("ASCII digits")
             .to_string();
         Ok(JsonValue::Number(raw))
+    }
+
+    /// Parses one container one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, JsonParseError>,
+    ) -> Result<JsonValue, JsonParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<JsonValue, JsonParseError> {
@@ -658,5 +683,25 @@ mod tests {
         ] {
             assert!(JsonValue::parse(bad).is_err(), "must reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn parser_accepts_nesting_up_to_max_depth() {
+        let doc = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&doc(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&doc(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
+    }
+
+    #[test]
+    fn parser_rejects_deep_array_nesting_without_overflowing() {
+        let err = JsonValue::parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+    }
+
+    #[test]
+    fn parser_rejects_deep_object_nesting_without_overflowing() {
+        let err = JsonValue::parse(&"{\"a\":".repeat(100_000)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
     }
 }

@@ -22,12 +22,13 @@
 //! - [`fault`]: bit-flip injection into forwarded data for the
 //!   detection-latency experiments (Fig. 7).
 //! - [`scenario`] / [`harness`]: the [`Scenario`] builder — the single
-//!   front door for experiments (topology, fault plans, observers) —
+//!   front door for experiments (topology, fault plans, event sinks) —
 //!   and the [`VerifiedRun`] driver it builds, from dual-core Fig. 4
 //!   runs to many-core shared-checker SoCs.
-//! - [`trace`]: Chrome `trace_event` export of the schedule an observer
-//!   sees (segment spans, checker occupancy, arbitration, detections) —
-//!   load the file in `chrome://tracing`/Perfetto.
+//! - [`sink`]: [`RunEvent`], the run's one event stream.
+//! - [`trace`]: Chrome `trace_event` export of that stream (segment
+//!   spans, checker occupancy, arbitration, detections) — load the file
+//!   in `chrome://tracing`/Perfetto.
 //!
 //! ## Example: verified execution end to end
 //!
@@ -119,10 +120,7 @@ pub use harness::{
 };
 pub use packet::{log_entries, Checkpoint, LogEntry, LogKind, Packet, PacketMut, PacketRef};
 pub use rcpm::{Ass, SegmentClose, SegmentTracker, DEFAULT_SEGMENT_LIMIT};
-pub use scenario::{
-    FaultPlan, Injection, Observer, ObserverEvent, ObserverSummary, RecordingObserver,
-    RecoveryPolicy, Scenario, ScenarioError, Topology,
-};
+pub use scenario::{FaultPlan, Injection, RecoveryPolicy, Scenario, ScenarioError, Topology};
 pub use share::{ArbiterStats, CheckerArbiter};
-pub use sink::{EventBuffer, RunEvent};
-pub use trace::{TraceObserver, DEFAULT_RING_CAPACITY};
+pub use sink::RunEvent;
+pub use trace::{ChromeTrace, DEFAULT_RING_CAPACITY};

@@ -1,34 +1,27 @@
-//! `Send`-able event sinks: the run's observer callbacks, reified.
+//! The run's event stream.
 //!
-//! The original observer attachment was a shared handle
-//! (`Rc<RefCell<Observer>>`), which made every
-//! [`VerifiedRun`](crate::harness::VerifiedRun)
-//! `!Send` — a run could never cross a thread, so campaigns had to
-//! parallelise around whole runs. This module replaces the shared
-//! handle with owned values:
+//! [`RunEvent`] is the one representation of what a verified run does
+//! over time: segments opening and closing, checkers being granted and
+//! replaying, verdicts and detections landing, faults firing or
+//! expiring, rollbacks and pairing-policy changes. The harness emits
+//! every event through one choke point into at most two owned sinks:
 //!
-//! - [`RunEvent`] reifies one [`Observer`] callback as an owned,
-//!   `Send` value carrying everything the callback saw (the verdict
-//!   callbacks own their full [`SegmentResult`], unlike the slimmer
-//!   [`ObserverEvent`](crate::ObserverEvent) record, so a buffer can
-//!   stand in for a live observer with zero fidelity loss).
-//! - [`EventBuffer`] is an owned, in-order buffer of those events.
-//!   Enable it with
-//!   [`Scenario::record_events`](crate::Scenario::record_events); after
-//!   the run, replay the buffer into any observer with
-//!   [`EventBuffer::replay`] (or
-//!   [`VerifiedRun::replay_events`](crate::VerifiedRun::replay_events)).
+//! - the Chrome trace, enabled with
+//!   [`Scenario::trace_to`](crate::Scenario::trace_to) and folded event
+//!   by event by [`ChromeTrace::record`](crate::ChromeTrace::record);
+//! - an in-order `Vec<RunEvent>`, enabled with
+//!   [`Scenario::record_events`](crate::Scenario::record_events) and
+//!   read back after the run with
+//!   [`VerifiedRun::events`](crate::VerifiedRun::events) or
+//!   [`VerifiedRun::take_events`](crate::VerifiedRun::take_events).
 //!
-//! The harness dispatches every event through one choke point to its
-//! live observers (now `Observer + Send`), its by-value
-//! [`TraceObserver`](crate::TraceObserver), and the optional recorded
-//! buffer — so `VerifiedRun: Send` holds (statically asserted in
-//! `harness.rs`) and runs migrate freely across worker threads.
-//!
-//! # Migrating from `Rc<RefCell<_>>` observers
+//! Events are owned values, so a run with sinks attached stays `Send`
+//! (statically asserted in `harness.rs`). Sinks are notification-only:
+//! a run with either or both attached is bit-identical to one without,
+//! and with neither attached the harness skips building events at all.
 //!
 //! ```
-//! use flexstep_core::{RecordingObserver, Scenario};
+//! use flexstep_core::{RunEvent, Scenario};
 //! # use flexstep_isa::{asm::Assembler, XReg};
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! # let mut asm = Assembler::new("tiny");
@@ -40,33 +33,31 @@
 //! # asm.bnez(XReg::A0, "l");
 //! # asm.ecall();
 //! # let program = asm.finish()?;
-//! // Before: Rc::new(RefCell::new(RecordingObserver::new())) attached
-//! // via .observer(handle.clone()), inspected via handle.borrow().
-//! // After: record the run once, replay into any observer you like.
 //! let mut run = Scenario::new(&program)
 //!     .cores(2)
 //!     .record_events()
 //!     .build()?;
-//! assert!(run.run_to_completion(10_000_000).completed);
+//! let report = run.run_to_completion(10_000_000);
+//! assert!(report.completed);
 //!
-//! let mut recorder = RecordingObserver::new();
-//! run.replay_events(&mut recorder);
-//! assert!(recorder.summary().segments_opened > 0);
+//! let events = run.events().expect("recording is on");
+//! let verdicts = events
+//!     .iter()
+//!     .filter(|e| matches!(e, RunEvent::CheckPass { .. } | RunEvent::CheckFail { .. }))
+//!     .count() as u64;
+//! assert_eq!(verdicts, report.segments_checked);
 //! # Ok(())
 //! # }
 //! ```
 
 use crate::detect::{DetectionEvent, SegmentResult};
-use crate::scenario::{Injection, Observer};
+use crate::scenario::Injection;
 
-/// One [`Observer`] callback as an owned, `Send` value.
-///
-/// Field names mirror the callback parameters; see the corresponding
-/// [`Observer`] method for semantics.
+/// One event of a verified run, as an owned, `Send` value.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum RunEvent {
-    /// [`Observer::on_segment_open`].
+    /// A main core opened a checking segment.
     SegmentOpen {
         /// Main core that opened the segment.
         main: usize,
@@ -75,7 +66,8 @@ pub enum RunEvent {
         /// Cycle of the open.
         cycle: u64,
     },
-    /// [`Observer::on_segment_close`].
+    /// A main core closed a checking segment (count limit or privilege
+    /// switch).
     SegmentClose {
         /// Main core that closed the segment.
         main: usize,
@@ -84,7 +76,11 @@ pub enum RunEvent {
         /// Cycle of the close.
         cycle: u64,
     },
-    /// [`Observer::on_check_start`].
+    /// A checker applied a segment's SCP and entered replay — the start
+    /// of the checker-occupancy window that ends with the verdict
+    /// ([`RunEvent::CheckPass`] / [`RunEvent::CheckFail`]). In
+    /// shared-checker topologies `main` attributes the busy span to the
+    /// granted main.
     CheckStart {
         /// Checker entering replay.
         checker: usize,
@@ -95,32 +91,40 @@ pub enum RunEvent {
         /// Cycle of the SCP apply.
         cycle: u64,
     },
-    /// [`Observer::on_check_pass`].
+    /// A checker verified a segment clean.
     CheckPass {
         /// Checker that issued the verdict.
         checker: usize,
         /// The clean verdict.
         result: SegmentResult,
     },
-    /// [`Observer::on_check_fail`].
+    /// A checker failed a segment. It is immediately followed by its
+    /// [`RunEvent::Detection`].
     CheckFail {
         /// Checker that issued the verdict.
         checker: usize,
         /// The failing verdict (mismatch included).
         result: SegmentResult,
     },
-    /// [`Observer::on_detection`].
+    /// An error was detected.
     Detection(DetectionEvent),
-    /// [`Observer::on_fault_injected`].
+    /// A scheduled fault landed in a stream.
     FaultInjected(Injection),
-    /// [`Observer::on_shot_expired`].
+    /// An armed shot expired without landing: `main`'s stream drained
+    /// for good, or the run completed before the arming cycle. Expired
+    /// shots are counted in
+    /// [`RunReport::shots_expired`](crate::RunReport::shots_expired)
+    /// and never appear in
+    /// [`RunReport::injections`](crate::RunReport::injections).
     ShotExpired {
         /// Main whose armed shot expired.
         main: usize,
         /// Cycle of the expiry.
         cycle: u64,
     },
-    /// [`Observer::on_checker_granted`].
+    /// A §III-C arbiter connected `main`'s stream to a shared checker
+    /// (the initial grants fire at cycle 0, hand-overs when they
+    /// happen).
     CheckerGranted {
         /// The granted shared checker.
         checker: usize,
@@ -129,21 +133,25 @@ pub enum RunEvent {
         /// Cycle of the grant.
         cycle: u64,
     },
-    /// [`Observer::on_checker_parked`].
+    /// A shared checker with a drained arbitration queue was parked (a
+    /// later grant unparks it).
     CheckerParked {
         /// The parked checker.
         checker: usize,
         /// Cycle of the park.
         cycle: u64,
     },
-    /// [`Observer::on_main_finished`].
+    /// A main core finished its program.
     MainFinished {
         /// The finished main core.
         main: usize,
         /// Cycle of the final `ecall`.
         cycle: u64,
     },
-    /// [`Observer::on_recovery_start`].
+    /// Rollback recovery started: `main` was rolled back to segment
+    /// `seq`'s SCP boundary for re-execution
+    /// ([`RecoveryPolicy::Rollback`](crate::RecoveryPolicy::Rollback)
+    /// only).
     RecoveryStart {
         /// Main rolled back for re-execution.
         main: usize,
@@ -152,7 +160,8 @@ pub enum RunEvent {
         /// Cycle of the rollback.
         cycle: u64,
     },
-    /// [`Observer::on_recovery_complete`].
+    /// Rollback recovery completed: `main` re-executed and a segment
+    /// verified clean again, `latency` cycles after the detection.
     RecoveryComplete {
         /// Main that verified clean again.
         main: usize,
@@ -161,21 +170,29 @@ pub enum RunEvent {
         /// Detect → verified-again latency, cycles.
         latency: u64,
     },
-    /// [`Observer::on_checker_killed`].
+    /// A checker core suffered a scheduled permanent failure
+    /// ([`FaultPlan::kill_checker_at`](crate::FaultPlan::kill_checker_at));
+    /// its channels re-pair onto surviving checkers (a later
+    /// [`RunEvent::CheckerGranted`]) or degrade to unchecked execution.
     CheckerKilled {
         /// The permanently failed checker.
         checker: usize,
         /// Cycle of the kill.
         cycle: u64,
     },
-    /// [`Observer::on_checker_released`].
+    /// A main released its checker by pairing policy
+    /// ([`Scenario::pairing_schedule`](crate::Scenario::pairing_schedule));
+    /// the release lands on a segment boundary, and execution runs
+    /// unchecked until re-acquire.
     CheckerReleased {
         /// Main that released its checker by pairing policy.
         main: usize,
         /// Cycle the release took effect (a segment boundary).
         cycle: u64,
     },
-    /// [`Observer::on_checker_acquired`].
+    /// A main re-acquired checking by pairing policy. Shared slots
+    /// re-enter arbitration: the acquire's connection arrives as a
+    /// later [`RunEvent::CheckerGranted`].
     CheckerAcquired {
         /// Main that re-acquired checking by pairing policy.
         main: usize,
@@ -184,171 +201,62 @@ pub enum RunEvent {
     },
 }
 
-impl RunEvent {
-    /// Invokes the [`Observer`] callback this event reifies. Replaying
-    /// a recorded buffer in order reproduces exactly the callback
-    /// sequence a live observer would have seen.
-    pub fn dispatch(&self, o: &mut dyn Observer) {
-        match self {
-            RunEvent::SegmentOpen { main, seq, cycle } => o.on_segment_open(*main, *seq, *cycle),
-            RunEvent::SegmentClose { main, seq, cycle } => o.on_segment_close(*main, *seq, *cycle),
-            RunEvent::CheckStart {
-                checker,
-                main,
-                seq,
-                cycle,
-            } => o.on_check_start(*checker, *main, *seq, *cycle),
-            RunEvent::CheckPass { checker, result } => o.on_check_pass(*checker, result),
-            RunEvent::CheckFail { checker, result } => o.on_check_fail(*checker, result),
-            RunEvent::Detection(event) => o.on_detection(event),
-            RunEvent::FaultInjected(injection) => o.on_fault_injected(injection),
-            RunEvent::ShotExpired { main, cycle } => o.on_shot_expired(*main, *cycle),
-            RunEvent::CheckerGranted {
-                checker,
-                main,
-                cycle,
-            } => o.on_checker_granted(*checker, *main, *cycle),
-            RunEvent::CheckerParked { checker, cycle } => o.on_checker_parked(*checker, *cycle),
-            RunEvent::MainFinished { main, cycle } => o.on_main_finished(*main, *cycle),
-            RunEvent::RecoveryStart { main, seq, cycle } => {
-                o.on_recovery_start(*main, *seq, *cycle)
-            }
-            RunEvent::RecoveryComplete {
-                main,
-                cycle,
-                latency,
-            } => o.on_recovery_complete(*main, *cycle, *latency),
-            RunEvent::CheckerKilled { checker, cycle } => o.on_checker_killed(*checker, *cycle),
-            RunEvent::CheckerReleased { main, cycle } => o.on_checker_released(*main, *cycle),
-            RunEvent::CheckerAcquired { main, cycle } => o.on_checker_acquired(*main, *cycle),
-        }
-    }
-}
-
-/// An owned, in-order buffer of [`RunEvent`]s — the `Send`-able stand-in
-/// for a live observer. See the [module documentation](self) for the
-/// migration pattern.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct EventBuffer {
-    events: Vec<RunEvent>,
-}
-
-impl EventBuffer {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends one event.
-    pub fn push(&mut self, event: RunEvent) {
-        self.events.push(event);
-    }
-
-    /// The recorded events, in dispatch order.
-    pub fn events(&self) -> &[RunEvent] {
-        &self.events
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Replays every event into `observer`, in recorded order — the
-    /// post-run equivalent of having attached it live.
-    pub fn replay(&self, observer: &mut dyn Observer) {
-        for e in &self.events {
-            e.dispatch(observer);
-        }
-    }
-
-    /// Consumes the buffer, yielding the owned event list.
-    pub fn into_events(self) -> Vec<RunEvent> {
-        self.events
-    }
-
-    /// Merges another buffer's events onto the end of this one (worker
-    /// threads record per-run buffers; the aggregator merges post-run).
-    pub fn extend(&mut self, other: EventBuffer) {
-        self.events.extend(other.events);
-    }
-}
-
-// The whole point: buffers and events cross threads.
+// Recorded events cross threads with the run that produced them.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<RunEvent>();
-    assert_send::<EventBuffer>();
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{ObserverEvent, RecordingObserver};
+    use crate::fault::FaultTarget;
+    use crate::scenario::{FaultPlan, Scenario};
+    use crate::trace::ChromeTrace;
+    use flexstep_isa::{asm::Assembler, XReg};
 
     #[test]
-    fn replay_reproduces_the_callback_sequence() {
-        let mut buf = EventBuffer::new();
-        buf.push(RunEvent::SegmentOpen {
-            main: 0,
-            seq: 1,
-            cycle: 10,
-        });
-        buf.push(RunEvent::CheckStart {
-            checker: 1,
-            main: 0,
-            seq: 1,
-            cycle: 20,
-        });
-        buf.push(RunEvent::CheckPass {
-            checker: 1,
-            result: SegmentResult {
-                seq: 1,
-                tag: 0,
-                mismatch: None,
-                at: 30,
-            },
-        });
-        let mut rec = RecordingObserver::new();
-        buf.replay(&mut rec);
-        assert_eq!(
-            rec.events(),
-            &[
-                ObserverEvent::SegmentOpen(0, 1, 10),
-                ObserverEvent::CheckStart(1, 0, 1, 20),
-                ObserverEvent::CheckPass(1, 1, 30),
-            ]
-        );
-        assert_eq!(rec.summary().checks_passed, 1);
-    }
-
-    #[test]
-    fn extend_merges_in_order() {
-        let mut a = EventBuffer::new();
-        a.push(RunEvent::MainFinished { main: 0, cycle: 5 });
-        let mut b = EventBuffer::new();
-        b.push(RunEvent::MainFinished { main: 1, cycle: 9 });
-        a.extend(b);
-        assert_eq!(a.len(), 2);
-        assert!(matches!(
-            a.events()[1],
-            RunEvent::MainFinished { main: 1, cycle: 9 }
-        ));
+    fn recorded_events_replay_into_an_identical_trace() {
+        // Both sinks are fed from the same choke point, so folding the
+        // recording into a fresh trace reproduces the live trace byte
+        // for byte.
+        let mut asm = Assembler::new("store_loop");
+        asm.li(XReg::A0, 4000);
+        asm.li(XReg::A1, 0x2000_0000);
+        asm.label("l").unwrap();
+        asm.sd(XReg::A1, XReg::A0, 0);
+        asm.ld(XReg::A2, XReg::A1, 0);
+        // Keep loaded data architecturally live so data faults propagate.
+        asm.add(XReg::A3, XReg::A3, XReg::A2);
+        asm.addi(XReg::A0, XReg::A0, -1);
+        asm.bnez(XReg::A0, "l");
+        asm.ecall();
+        let program = asm.finish().unwrap();
+        let mut run = Scenario::new(&program)
+            .cores(2)
+            .fault_plan(FaultPlan::bit_flip_at(5_000, FaultTarget::EntryData).with_seed(3))
+            .record_events()
+            .trace_to("unused.trace.json")
+            .build()
+            .unwrap();
+        let report = run.run_to_completion(50_000_000);
+        assert!(!report.detections.is_empty(), "the flip must be caught");
+        let mut replayed = ChromeTrace::new();
+        for e in run.events().expect("recording enabled") {
+            replayed.record(e);
+        }
+        let live = run.trace().expect("tracing enabled");
+        assert_eq!(replayed.to_chrome_json(), live.to_chrome_json());
+        assert_eq!(replayed.instants_recorded(), live.instants_recorded());
     }
 
     #[test]
     fn buffers_cross_threads() {
-        let mut buf = EventBuffer::new();
-        buf.push(RunEvent::CheckerParked {
+        let events = [RunEvent::CheckerParked {
             checker: 2,
             cycle: 77,
-        });
-        let handle = std::thread::spawn(move || buf.len());
+        }];
+        let handle = std::thread::spawn(move || events.len());
         assert_eq!(handle.join().unwrap(), 1);
     }
 }

@@ -3,19 +3,18 @@
 //! A many-core FlexStep run is a schedule: segments opening and closing
 //! on main cores, checker cores replaying one granted stream at a time,
 //! the §III-C arbiters handing channels over, faults landing and being
-//! caught. [`TraceObserver`] records that schedule through the ordinary
-//! [`Observer`] callbacks and serialises it as Chrome `trace_event`
-//! JSON — load the file in `chrome://tracing` or
-//! [Perfetto](https://ui.perfetto.dev) and every core becomes a lane on
-//! a shared timeline:
+//! caught. [`ChromeTrace`] folds that schedule one [`RunEvent`] at a
+//! time and serialises it as Chrome `trace_event` JSON — load the file
+//! in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev) and
+//! every core becomes a lane on a shared timeline:
 //!
 //! - **Segment spans** (`ph: "X"`, category `segment`) on each main
-//!   core's lane, from [`Observer::on_segment_open`] to
-//!   [`Observer::on_segment_close`].
+//!   core's lane, from [`RunEvent::SegmentOpen`] to
+//!   [`RunEvent::SegmentClose`].
 //! - **Checker-occupancy spans** (category `check`) on each checker
-//!   core's lane, from [`Observer::on_check_start`] (the SCP apply that
+//!   core's lane, from [`RunEvent::CheckStart`] (the SCP apply that
 //!   enters replay) to the verdict
-//!   ([`Observer::on_check_pass`]/[`Observer::on_check_fail`]), named
+//!   ([`RunEvent::CheckPass`]/[`RunEvent::CheckFail`]), named
 //!   after the main core being verified — arbitration interleavings are
 //!   directly visible as alternating span colours.
 //! - **Recovery spans** (category `recovery`) on a dedicated
@@ -79,16 +78,15 @@
 //!
 //! # Bounded mode
 //!
-//! A 3600-shot campaign emits millions of events; [`TraceObserver::
-//! bounded`](TraceObserver::bounded) keeps a ring of the last N
+//! A 3600-shot campaign emits millions of events; [`ChromeTrace::
+//! bounded`](ChromeTrace::bounded) keeps a ring of the last N
 //! completed events (dropping the oldest first and counting them in
-//! [`TraceObserver::dropped`]), so the file size is capped no matter
+//! [`ChromeTrace::dropped`]), so the file size is capped no matter
 //! how long the run is. The experiment binaries (`fig8 --trace`,
 //! `fig7_manycore --trace`) use [`DEFAULT_RING_CAPACITY`].
 
-use crate::detect::{DetectionEvent, SegmentResult};
 use crate::json::{number, JsonObject};
-use crate::scenario::{Injection, Observer};
+use crate::sink::RunEvent;
 use flexstep_sim::Clock;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io;
@@ -103,12 +101,12 @@ pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 /// core index, so recovery spans never collide with a core's own lane.
 pub const RECOVERY_LANE_OFFSET: usize = 4096;
 
-/// An [`Observer`] that records the run as Chrome `trace_event` JSON.
+/// The run's schedule, recorded as Chrome `trace_event` JSON.
 ///
 /// See the [module documentation](self) for the event model and a
 /// worked example.
 #[derive(Debug)]
-pub struct TraceObserver {
+pub struct ChromeTrace {
     /// Completed events, already rendered as JSON objects (one string
     /// per event). Bounded by `capacity` as a ring of the newest.
     events: VecDeque<String>,
@@ -126,23 +124,23 @@ pub struct TraceObserver {
     /// Cores seen as mains / checkers (for thread-name metadata).
     mains: BTreeSet<usize>,
     checkers: BTreeSet<usize>,
-    /// Latest cycle any callback reported (closes truncated spans).
+    /// Latest cycle any event reported (closes truncated spans).
     last_cycle: u64,
     spans: u64,
     instants: u64,
 }
 
-impl Default for TraceObserver {
+impl Default for ChromeTrace {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl TraceObserver {
+impl ChromeTrace {
     /// An unbounded recorder at the paper clock
     /// ([`Clock::paper`], 1.6 GHz).
     pub fn new() -> Self {
-        TraceObserver {
+        ChromeTrace {
             events: VecDeque::new(),
             capacity: None,
             dropped: 0,
@@ -161,9 +159,9 @@ impl TraceObserver {
 
     /// A size-bounded recorder keeping only the newest `capacity`
     /// completed events (a ring; the oldest are dropped and counted in
-    /// [`TraceObserver::dropped`]).
+    /// [`ChromeTrace::dropped`]).
     pub fn bounded(capacity: usize) -> Self {
-        TraceObserver {
+        ChromeTrace {
             capacity: Some(capacity.max(1)),
             ..Self::new()
         }
@@ -192,13 +190,13 @@ impl TraceObserver {
         self.dropped
     }
 
-    /// Spans recorded over the observer's lifetime (ring eviction does
+    /// Spans recorded over the trace's lifetime (ring eviction does
     /// not decrement).
     pub fn spans_recorded(&self) -> u64 {
         self.spans
     }
 
-    /// Instant events recorded over the observer's lifetime.
+    /// Instant events recorded over the trace's lifetime.
     pub fn instants_recorded(&self) -> u64 {
         self.instants
     }
@@ -309,9 +307,9 @@ impl TraceObserver {
 
         // Close anything still open (truncated runs) at the last
         // observed cycle, without mutating the recorder.
-        let mut tail = TraceObserver {
+        let mut tail = ChromeTrace {
             clock: self.clock,
-            ..TraceObserver::new()
+            ..ChromeTrace::new()
         };
         for (&main, &(seq, start)) in &self.open_segments {
             let mut a = JsonObject::new();
@@ -394,7 +392,7 @@ impl TraceObserver {
         out
     }
 
-    /// Writes [`TraceObserver::to_chrome_json`] to `path`.
+    /// Writes [`ChromeTrace::to_chrome_json`] to `path`.
     ///
     /// # Errors
     ///
@@ -402,198 +400,218 @@ impl TraceObserver {
     pub fn write_to(&self, path: impl AsRef<Path>) -> io::Result<()> {
         std::fs::write(path, self.to_chrome_json())
     }
-}
 
-impl Observer for TraceObserver {
-    fn on_segment_open(&mut self, main: usize, seq: u64, cycle: u64) {
-        self.last_cycle = self.last_cycle.max(cycle);
-        self.mains.insert(main);
-        self.open_segments.insert(main, (seq, cycle));
+    /// Folds one run event into the trace. The match names every
+    /// [`RunEvent`] variant and has no wildcard arm, so a new variant
+    /// does not compile until the trace decides how to render it.
+    pub fn record(&mut self, event: &RunEvent) {
+        match *event {
+            RunEvent::SegmentOpen { main, seq, cycle } => {
+                self.main_lane(main, cycle);
+                self.open_segments.insert(main, (seq, cycle));
+            }
+            RunEvent::SegmentClose { main, seq, cycle } => {
+                self.main_lane(main, cycle);
+                // A close without a matching open (a partial event
+                // stream) degrades to a zero-length span at the close.
+                let start = self
+                    .open_segments
+                    .remove(&main)
+                    .filter(|&(open_seq, _)| open_seq == seq)
+                    .map_or(cycle, |(_, start)| start);
+                let mut a = JsonObject::new();
+                a.field_u64("seq", seq)
+                    .field_u64("open_cycle", start)
+                    .field_u64("close_cycle", cycle);
+                self.span(
+                    main,
+                    &format!("seg {seq}"),
+                    "segment",
+                    start,
+                    cycle,
+                    a.finish(),
+                );
+            }
+            RunEvent::CheckStart {
+                checker,
+                main,
+                seq,
+                cycle,
+            } => {
+                self.checker_lane(checker, cycle);
+                // A dangling open check (should not happen: replay always
+                // ends in a verdict) is closed defensively to keep lanes
+                // overlap-free.
+                self.close_check(checker, cycle, "superseded");
+                self.open_checks.insert(checker, (main, seq, cycle));
+            }
+            RunEvent::CheckPass {
+                checker,
+                ref result,
+            } => {
+                self.checker_lane(checker, result.at);
+                self.close_check(checker, result.at, "pass");
+            }
+            RunEvent::CheckFail {
+                checker,
+                ref result,
+            } => {
+                self.checker_lane(checker, result.at);
+                self.close_check(checker, result.at, "fail");
+            }
+            RunEvent::Detection(ref d) => {
+                self.checker_lane(d.checker_core, d.detected_at);
+                let mut a = JsonObject::new();
+                a.field_u64("main", d.main_core as u64)
+                    .field_u64("seq", d.segment_seq)
+                    .field_str("kind", &d.kind.to_string())
+                    .field_u64("cycle", d.detected_at);
+                self.instant(
+                    d.checker_core,
+                    &format!("detect m{} seg {}", d.main_core, d.segment_seq),
+                    "detect",
+                    d.detected_at,
+                    a.finish(),
+                );
+            }
+            RunEvent::FaultInjected(ref injection) => {
+                self.main_lane(injection.main_core, injection.at_cycle);
+                let mut a = JsonObject::new();
+                a.field_str("target", &injection.target.to_string())
+                    .field_array("bits", injection.bits.iter().map(u32::to_string))
+                    .field_u64("cycle", injection.at_cycle);
+                self.instant(
+                    injection.main_core,
+                    &format!("fault {}", injection.target),
+                    "fault",
+                    injection.at_cycle,
+                    a.finish(),
+                );
+            }
+            RunEvent::ShotExpired { main, cycle } => {
+                self.main_lane(main, cycle);
+                self.cycle_instant(main, "shot expired", "fault", cycle);
+            }
+            RunEvent::CheckerGranted {
+                checker,
+                main,
+                cycle,
+            } => {
+                self.checker_lane(checker, cycle);
+                self.mains.insert(main);
+                let mut a = JsonObject::new();
+                a.field_u64("main", main as u64).field_u64("cycle", cycle);
+                self.instant(
+                    checker,
+                    &format!("grant m{main}"),
+                    "arbiter",
+                    cycle,
+                    a.finish(),
+                );
+            }
+            RunEvent::CheckerParked { checker, cycle } => {
+                self.checker_lane(checker, cycle);
+                self.cycle_instant(checker, "park", "arbiter", cycle);
+            }
+            RunEvent::MainFinished { main, cycle } => {
+                self.main_lane(main, cycle);
+                self.cycle_instant(main, "finished", "run", cycle);
+            }
+            RunEvent::RecoveryStart { main, seq, cycle } => {
+                self.main_lane(main, cycle);
+                self.recovery_lanes.insert(main);
+                // Consecutive retries extend the original span: the
+                // recovery window is detect -> verified-again, not
+                // per-rollback.
+                self.open_recoveries.entry(main).or_insert((seq, cycle));
+            }
+            RunEvent::RecoveryComplete {
+                main,
+                cycle,
+                latency,
+            } => {
+                self.main_lane(main, cycle);
+                let (seq, start) = self
+                    .open_recoveries
+                    .remove(&main)
+                    .unwrap_or((0, cycle.saturating_sub(latency)));
+                let mut a = JsonObject::new();
+                a.field_u64("seq", seq)
+                    .field_u64("detect_cycle", start)
+                    .field_u64("end_cycle", cycle)
+                    .field_u64("latency_cycles", latency);
+                self.recovery_lanes.insert(main);
+                self.span(
+                    RECOVERY_LANE_OFFSET + main,
+                    &format!("recover seg {seq}"),
+                    "recovery",
+                    start,
+                    cycle,
+                    a.finish(),
+                );
+            }
+            RunEvent::CheckerKilled { checker, cycle } => {
+                self.checker_lane(checker, cycle);
+                self.cycle_instant(checker, "killed", "fault", cycle);
+            }
+            RunEvent::CheckerReleased { main, cycle } => {
+                self.main_lane(main, cycle);
+                self.cycle_instant(main, "release checker", "pairing", cycle);
+            }
+            RunEvent::CheckerAcquired { main, cycle } => {
+                self.main_lane(main, cycle);
+                self.cycle_instant(main, "acquire checker", "pairing", cycle);
+            }
+        }
     }
 
-    fn on_segment_close(&mut self, main: usize, seq: u64, cycle: u64) {
+    /// Notes `main` as a main-core lane active at `cycle`.
+    fn main_lane(&mut self, main: usize, cycle: u64) {
         self.last_cycle = self.last_cycle.max(cycle);
         self.mains.insert(main);
-        let start = match self.open_segments.remove(&main) {
-            Some((open_seq, start)) if open_seq == seq => start,
-            // Close without a matching open (observer attached
-            // mid-run): degrade to a zero-length span at the close.
-            _ => cycle,
-        };
-        let mut a = JsonObject::new();
-        a.field_u64("seq", seq)
-            .field_u64("open_cycle", start)
-            .field_u64("close_cycle", cycle);
-        self.span(
-            main,
-            &format!("seg {seq}"),
-            "segment",
-            start,
-            cycle,
-            a.finish(),
-        );
     }
 
-    fn on_check_start(&mut self, checker: usize, main: usize, seq: u64, cycle: u64) {
+    /// Notes `checker` as a checker-core lane active at `cycle`.
+    fn checker_lane(&mut self, checker: usize, cycle: u64) {
         self.last_cycle = self.last_cycle.max(cycle);
         self.checkers.insert(checker);
-        // A dangling open check (should not happen: replay always ends
-        // in a verdict) is closed defensively to keep lanes overlap-free.
-        self.close_check(checker, cycle, "superseded");
-        self.open_checks.insert(checker, (main, seq, cycle));
     }
 
-    fn on_check_pass(&mut self, checker: usize, result: &SegmentResult) {
-        self.last_cycle = self.last_cycle.max(result.at);
-        self.checkers.insert(checker);
-        self.close_check(checker, result.at, "pass");
-    }
-
-    fn on_check_fail(&mut self, checker: usize, result: &SegmentResult) {
-        self.last_cycle = self.last_cycle.max(result.at);
-        self.checkers.insert(checker);
-        self.close_check(checker, result.at, "fail");
-    }
-
-    fn on_detection(&mut self, event: &DetectionEvent) {
-        self.last_cycle = self.last_cycle.max(event.detected_at);
-        self.checkers.insert(event.checker_core);
-        let mut a = JsonObject::new();
-        a.field_u64("main", event.main_core as u64)
-            .field_u64("seq", event.segment_seq)
-            .field_str("kind", &event.kind.to_string())
-            .field_u64("cycle", event.detected_at);
-        self.instant(
-            event.checker_core,
-            &format!("detect m{} seg {}", event.main_core, event.segment_seq),
-            "detect",
-            event.detected_at,
-            a.finish(),
-        );
-    }
-
-    fn on_fault_injected(&mut self, injection: &Injection) {
-        self.last_cycle = self.last_cycle.max(injection.at_cycle);
-        self.mains.insert(injection.main_core);
-        let mut a = JsonObject::new();
-        a.field_str("target", &injection.target.to_string())
-            .field_array("bits", injection.bits.iter().map(u32::to_string))
-            .field_u64("cycle", injection.at_cycle);
-        self.instant(
-            injection.main_core,
-            &format!("fault {}", injection.target),
-            "fault",
-            injection.at_cycle,
-            a.finish(),
-        );
-    }
-
-    fn on_shot_expired(&mut self, main: usize, cycle: u64) {
-        self.last_cycle = self.last_cycle.max(cycle);
-        self.mains.insert(main);
+    /// An instant whose only argument is its cycle.
+    fn cycle_instant(&mut self, tid: usize, name: &str, cat: &str, cycle: u64) {
         let mut a = JsonObject::new();
         a.field_u64("cycle", cycle);
-        self.instant(main, "shot expired", "fault", cycle, a.finish());
-    }
-
-    fn on_checker_granted(&mut self, checker: usize, main: usize, cycle: u64) {
-        self.last_cycle = self.last_cycle.max(cycle);
-        self.checkers.insert(checker);
-        self.mains.insert(main);
-        let mut a = JsonObject::new();
-        a.field_u64("main", main as u64).field_u64("cycle", cycle);
-        self.instant(
-            checker,
-            &format!("grant m{main}"),
-            "arbiter",
-            cycle,
-            a.finish(),
-        );
-    }
-
-    fn on_checker_parked(&mut self, checker: usize, cycle: u64) {
-        self.last_cycle = self.last_cycle.max(cycle);
-        self.checkers.insert(checker);
-        let mut a = JsonObject::new();
-        a.field_u64("cycle", cycle);
-        self.instant(checker, "park", "arbiter", cycle, a.finish());
-    }
-
-    fn on_main_finished(&mut self, main: usize, cycle: u64) {
-        self.last_cycle = self.last_cycle.max(cycle);
-        self.mains.insert(main);
-        let mut a = JsonObject::new();
-        a.field_u64("cycle", cycle);
-        self.instant(main, "finished", "run", cycle, a.finish());
-    }
-
-    fn on_recovery_start(&mut self, main: usize, seq: u64, cycle: u64) {
-        self.last_cycle = self.last_cycle.max(cycle);
-        self.mains.insert(main);
-        self.recovery_lanes.insert(main);
-        // Consecutive retries extend the original span: the recovery
-        // window is detect -> verified-again, not per-rollback.
-        self.open_recoveries.entry(main).or_insert((seq, cycle));
-    }
-
-    fn on_recovery_complete(&mut self, main: usize, cycle: u64, latency: u64) {
-        self.last_cycle = self.last_cycle.max(cycle);
-        self.mains.insert(main);
-        let (seq, start) = self
-            .open_recoveries
-            .remove(&main)
-            .unwrap_or((0, cycle.saturating_sub(latency)));
-        let mut a = JsonObject::new();
-        a.field_u64("seq", seq)
-            .field_u64("detect_cycle", start)
-            .field_u64("end_cycle", cycle)
-            .field_u64("latency_cycles", latency);
-        self.recovery_lanes.insert(main);
-        self.span(
-            RECOVERY_LANE_OFFSET + main,
-            &format!("recover seg {seq}"),
-            "recovery",
-            start,
-            cycle,
-            a.finish(),
-        );
-    }
-
-    fn on_checker_killed(&mut self, checker: usize, cycle: u64) {
-        self.last_cycle = self.last_cycle.max(cycle);
-        self.checkers.insert(checker);
-        let mut a = JsonObject::new();
-        a.field_u64("cycle", cycle);
-        self.instant(checker, "killed", "fault", cycle, a.finish());
-    }
-
-    fn on_checker_released(&mut self, main: usize, cycle: u64) {
-        self.last_cycle = self.last_cycle.max(cycle);
-        self.mains.insert(main);
-        let mut a = JsonObject::new();
-        a.field_u64("cycle", cycle);
-        self.instant(main, "release checker", "pairing", cycle, a.finish());
-    }
-
-    fn on_checker_acquired(&mut self, main: usize, cycle: u64) {
-        self.last_cycle = self.last_cycle.max(cycle);
-        self.mains.insert(main);
-        let mut a = JsonObject::new();
-        a.field_u64("cycle", cycle);
-        self.instant(main, "acquire checker", "pairing", cycle, a.finish());
+        self.instant(tid, name, cat, cycle, a.finish());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::MismatchKind;
+    use crate::detect::{MismatchKind, SegmentResult};
+
+    fn trace_of(events: &[RunEvent]) -> ChromeTrace {
+        let mut t = ChromeTrace::new();
+        for e in events {
+            t.record(e);
+        }
+        t
+    }
 
     #[test]
     fn spans_pair_opens_with_closes() {
-        let mut t = TraceObserver::new();
-        t.on_segment_open(0, 1, 100);
-        t.on_segment_close(0, 1, 1_700);
+        let t = trace_of(&[
+            RunEvent::SegmentOpen {
+                main: 0,
+                seq: 1,
+                cycle: 100,
+            },
+            RunEvent::SegmentClose {
+                main: 0,
+                seq: 1,
+                cycle: 1_700,
+            },
+        ]);
         assert_eq!(t.len(), 1);
         assert_eq!(t.spans_recorded(), 1);
         let json = t.to_chrome_json();
@@ -606,13 +624,29 @@ mod tests {
 
     #[test]
     fn recovery_spans_pair_and_checker_kills_are_instants() {
-        let mut t = TraceObserver::new();
-        t.on_recovery_start(0, 7, 1_000);
-        // A consecutive retry extends the original window rather than
-        // opening a second span.
-        t.on_recovery_start(0, 9, 1_500);
-        t.on_recovery_complete(0, 3_000, 2_000);
-        t.on_checker_killed(1, 4_000);
+        let t = trace_of(&[
+            RunEvent::RecoveryStart {
+                main: 0,
+                seq: 7,
+                cycle: 1_000,
+            },
+            // A consecutive retry extends the original window rather
+            // than opening a second span.
+            RunEvent::RecoveryStart {
+                main: 0,
+                seq: 9,
+                cycle: 1_500,
+            },
+            RunEvent::RecoveryComplete {
+                main: 0,
+                cycle: 3_000,
+                latency: 2_000,
+            },
+            RunEvent::CheckerKilled {
+                checker: 1,
+                cycle: 4_000,
+            },
+        ]);
         assert_eq!(t.spans_recorded(), 1);
         assert_eq!(t.instants_recorded(), 1);
         let json = t.to_chrome_json();
@@ -624,9 +658,17 @@ mod tests {
 
     #[test]
     fn truncated_recovery_spans_close_at_last_cycle() {
-        let mut t = TraceObserver::new();
-        t.on_recovery_start(2, 4, 500);
-        t.on_checker_killed(3, 900);
+        let t = trace_of(&[
+            RunEvent::RecoveryStart {
+                main: 2,
+                seq: 4,
+                cycle: 500,
+            },
+            RunEvent::CheckerKilled {
+                checker: 3,
+                cycle: 900,
+            },
+        ]);
         let json = t.to_chrome_json();
         assert!(json.contains("\"recover seg 4\""));
         assert!(json.contains("\"truncated\": true"));
@@ -634,17 +676,23 @@ mod tests {
 
     #[test]
     fn check_spans_attribute_the_main_and_verdict() {
-        let mut t = TraceObserver::new();
-        t.on_check_start(3, 0, 7, 200);
-        t.on_check_fail(
-            3,
-            &SegmentResult {
+        let t = trace_of(&[
+            RunEvent::CheckStart {
+                checker: 3,
+                main: 0,
                 seq: 7,
-                tag: 0,
-                mismatch: Some(MismatchKind::LogUnderrun),
-                at: 360,
+                cycle: 200,
             },
-        );
+            RunEvent::CheckFail {
+                checker: 3,
+                result: SegmentResult {
+                    seq: 7,
+                    tag: 0,
+                    mismatch: Some(MismatchKind::LogUnderrun),
+                    at: 360,
+                },
+            },
+        ]);
         let json = t.to_chrome_json();
         assert!(json.contains("\"name\": \"check m0 seg 7\""));
         assert!(json.contains("\"verdict\": \"fail\""));
@@ -653,10 +701,18 @@ mod tests {
 
     #[test]
     fn bounded_ring_drops_oldest_and_counts() {
-        let mut t = TraceObserver::bounded(2);
+        let mut t = ChromeTrace::bounded(2);
         for seq in 0..5u64 {
-            t.on_segment_open(0, seq, seq * 10);
-            t.on_segment_close(0, seq, seq * 10 + 5);
+            t.record(&RunEvent::SegmentOpen {
+                main: 0,
+                seq,
+                cycle: seq * 10,
+            });
+            t.record(&RunEvent::SegmentClose {
+                main: 0,
+                seq,
+                cycle: seq * 10 + 5,
+            });
         }
         assert_eq!(t.len(), 2);
         assert_eq!(t.dropped(), 3);
@@ -669,10 +725,23 @@ mod tests {
 
     #[test]
     fn truncated_open_spans_are_closed_at_last_cycle() {
-        let mut t = TraceObserver::new();
-        t.on_segment_open(0, 3, 1_000);
-        t.on_check_start(1, 0, 3, 1_200);
-        t.on_main_finished(0, 2_000);
+        let t = trace_of(&[
+            RunEvent::SegmentOpen {
+                main: 0,
+                seq: 3,
+                cycle: 1_000,
+            },
+            RunEvent::CheckStart {
+                checker: 1,
+                main: 0,
+                seq: 3,
+                cycle: 1_200,
+            },
+            RunEvent::MainFinished {
+                main: 0,
+                cycle: 2_000,
+            },
+        ]);
         let json = t.to_chrome_json();
         assert_eq!(json.matches("\"ph\": \"X\"").count(), 2);
         assert_eq!(json.matches("\"truncated\": true").count(), 2);

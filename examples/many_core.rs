@@ -4,15 +4,15 @@
 //!
 //! Twelve main cores each run their own workload in a private address
 //! window; four checker cores are shared 3:1 through §III-C FIFO
-//! arbitration. A fault plan sprays bit flips across three streams, an
-//! observer records the protocol, and the report attributes every
+//! arbitration. A fault plan sprays bit flips across three streams, the
+//! run records its event stream, and the report attributes every
 //! detection to the corrupted main core.
 //!
 //! ```sh
 //! cargo run --release --example many_core -- [cores]
 //! ```
 
-use flexstep::core::{FabricConfig, FaultPlan, RecordingObserver, Scenario, Topology};
+use flexstep::core::{FabricConfig, FaultPlan, RunEvent, Scenario, Topology};
 use flexstep::isa::Program;
 // The same per-slot workload the `fig8` sweep simulates.
 use flexstep_bench::manycore::many_core_job;
@@ -100,11 +100,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let mut recorder = RecordingObserver::new();
-    run.replay_events(&mut recorder);
-    let summary = recorder.summary();
+    let events = run.events().expect("recording enabled");
+    let verdicts = events
+        .iter()
+        .filter(|e| matches!(e, RunEvent::CheckPass { .. } | RunEvent::CheckFail { .. }))
+        .count() as u64;
     println!();
-    println!("observer summary: {}", summary.to_json());
+    println!("event stream: {} events, {verdicts} verdicts", events.len());
 
     assert!(report.completed, "all mains must finish");
     assert!(switches > 0, "shared checkers must hand over");
@@ -113,9 +115,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "the fault plan must land shots"
     );
     assert_eq!(
-        summary.checks_passed + summary.checks_failed,
-        report.segments_checked,
-        "the observer saw every verdict"
+        verdicts, report.segments_checked,
+        "the event stream saw every verdict"
     );
     Ok(())
 }
