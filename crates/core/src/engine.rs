@@ -81,6 +81,15 @@ pub enum EngineStep {
     CheckerSegmentDone(SegmentResult),
     /// A checker detected an error.
     CheckerDetected(DetectionEvent),
+    /// A checker's verdict-memo playback desynced from the buffered
+    /// stream (a memo bug or a fingerprint collision); the caller takes
+    /// the checker out of service.
+    MemoDesync {
+        /// The main core whose stream was being replayed.
+        main: usize,
+        /// The segment being replayed.
+        seq: u64,
+    },
     /// A checker was interrupted (timer) — the OS may preempt it.
     CheckerInterrupted(StepKind),
     /// The core is idle/parked.
@@ -823,8 +832,8 @@ impl FlexSoc {
         // Profile exhausted. The fingerprint match guarantees the stream
         // is byte-identical to the recorded one, so the head must be the
         // memoized segment's InstCount followed by its ECP — anything
-        // else is a memo bug or a 128-bit fingerprint collision: fail
-        // loudly rather than verify the wrong segment.
+        // else is a memo bug or a 128-bit fingerprint collision: report
+        // the desync rather than verify the wrong segment.
         let inst_count = self
             .fabric
             .unit_mut(core)
@@ -835,14 +844,12 @@ impl FlexSoc {
             .inst_count;
         match self.fabric.unit(main).fifo.peek(consumer) {
             Some(PacketRef::InstCount(v)) if v == inst_count => {}
-            other => panic!(
-                "verdict-memo playback desynced: expected InstCount({inst_count}), found {other:?}"
-            ),
+            _ => return EngineStep::MemoDesync { main, seq },
         }
         self.fabric.unit_mut(main).fifo.advance(consumer);
         match self.fabric.unit(main).fifo.peek(consumer) {
             Some(PacketRef::Ecp(cp)) => self.soc.core_mut(core).state.restore(&cp.snapshot),
-            other => panic!("verdict-memo playback desynced: expected ECP, found {other:?}"),
+            _ => return EngineStep::MemoDesync { main, seq },
         }
         self.fabric.unit_mut(core).checker.phase = CheckPhase::WaitEcp {
             seq,

@@ -20,14 +20,14 @@ use crate::scenario::{
 };
 use crate::share::{ArbiterStats, CheckerArbiter};
 use crate::sink::RunEvent;
+use crate::slot::{Anchor, Checking, Production, RecoverySlot, Slot};
 use crate::trace::ChromeTrace;
 use flexstep_isa::asm::Program;
 use flexstep_mem::cache::CacheGeometryError;
 use flexstep_sim::{
-    ArchSnapshot, Clock, PairingAction, PairingEvent, PairingSchedule, PrivMode, ReliabilityMode,
-    Soc, SocConfig, StepKind, TrapCause,
+    Clock, PairingAction, PairingEvent, PairingSchedule, PrivMode, ReliabilityMode, Soc, SocConfig,
+    StepKind, TrapCause,
 };
-use std::collections::VecDeque;
 
 /// Per-main-core outcome of a verified run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,6 +101,19 @@ pub enum RunWarning {
         pc: u64,
         /// Trap value (the faulting address for access faults).
         tval: u64,
+    },
+    /// A checker's verdict-memo playback ran out of step with the
+    /// buffered stream it was replaying (a memo bug or a fingerprint
+    /// collision). The checker was taken out of service like a
+    /// [`FaultPlan::kill_checker_at`] victim: its mains re-paired onto
+    /// surviving checkers or degraded to unchecked execution.
+    MemoPlaybackDesync {
+        /// The checker core whose playback desynced.
+        checker: usize,
+        /// The main core whose stream it was replaying.
+        main: usize,
+        /// The segment being replayed.
+        seq: u64,
     },
 }
 
@@ -191,7 +204,8 @@ pub struct RunReport {
     /// They never appear in [`RunReport::injections`].
     pub shots_expired: u64,
     /// Checker cores permanently failed by
-    /// [`FaultPlan::kill_checker_at`] shots that fired.
+    /// [`FaultPlan::kill_checker_at`] shots that fired, or taken out of
+    /// service by a [`RunWarning::MemoPlaybackDesync`].
     pub checkers_lost: u64,
     /// Re-pair latency of each orphaned main that was re-granted a
     /// surviving checker, in cycles from the kill to the new grant.
@@ -327,6 +341,12 @@ impl RunReport {
                         .field_u64("pc", *pc)
                         .field_u64("tval", *tval);
                 }
+                RunWarning::MemoPlaybackDesync { checker, main, seq } => {
+                    o.field_str("kind", "memo_playback_desync")
+                        .field_u64("checker", *checker as u64)
+                        .field_u64("main", *main as u64)
+                        .field_u64("seq", *seq);
+                }
             }
             o.finish()
         }));
@@ -437,17 +457,12 @@ pub struct VerifiedRun {
     checkers: Vec<usize>,
     /// Arbiters for shared checkers (empty for dedicated topologies).
     arbiters: Vec<CheckerArbiter>,
-    /// Per main slot: index into `arbiters` when the main competes for a
-    /// shared checker.
-    arbiter_of: Vec<Option<usize>>,
+    /// Per-main policy state, in channel order.
+    slots: Vec<Slot>,
     /// Main slot of each core id (dense reverse map).
     slot_of: Vec<Option<usize>>,
-    /// Per main slot: stopped producing (finished or trapped).
-    done: Vec<bool>,
+    /// Slots that stopped producing (finished or trapped).
     done_count: usize,
-    /// Per main slot: stopped by a trap rather than its final `ecall`.
-    trapped: Vec<bool>,
-    finish_cycle: Vec<u64>,
     steps: u64,
     faults: FaultDriver,
     injections: Vec<Injection>,
@@ -456,155 +471,30 @@ pub struct VerifiedRun {
     trace: Option<(std::path::PathBuf, ChromeTrace)>,
     /// Owned event recording enabled via [`Scenario::record_events`].
     recorded: Option<Vec<RunEvent>>,
-    /// Rollback bookkeeping, one slot per main; `None` under
-    /// [`RecoveryPolicy::Detect`] so the detect path stays untouched.
-    recovery: Option<RecoveryState>,
-    /// Per checker index: permanently failed by a kill shot.
+    /// [`RecoveryPolicy::Rollback`]'s retry budget (unused under
+    /// `Detect`, where no slot has recovery bookkeeping).
+    max_retries: u32,
+    /// Per core id: a checker taken out of service for good.
     dead_checkers: Vec<bool>,
     checkers_lost: u64,
-    /// Per main slot: cycle of the kill that orphaned it, until the
-    /// re-pair grant lands (samples `repair_latencies`).
-    repair_pending: Vec<Option<u64>>,
     repair_latencies: Vec<u64>,
     warnings: Vec<RunWarning>,
-    /// Per-slot reliability modes, in channel order.
-    modes: Vec<ReliabilityMode>,
-    /// Dynamic pairing runtime (`None` without a schedule).
-    pairing: Option<PairingRuntime>,
-    /// Whether the policy layer is in play (any non-default mode or a
-    /// pairing schedule). Gates the report's `mode_stats` section and
-    /// the coverage accounting, so default scenarios stay byte-identical
-    /// to pre-policy runs.
+    /// The pairing schedule being executed (empty without one).
+    pairing: PairingRuntime,
+    /// Whether the policy layer is in play (any non-default mode, a
+    /// pairing schedule, or [`Scenario::track_reliability`]). Gates the
+    /// report's `mode_stats` section and the policy-unchecked shot
+    /// warning, so default scenarios stay byte-identical to pre-policy
+    /// runs.
     mode_tracking: bool,
-    /// Per-slot checked/unchecked cycle accumulators (only meaningful
-    /// under `mode_tracking`).
-    coverage: Vec<Coverage>,
 }
 
-/// Runtime state of a [`PairingSchedule`] being executed against the
-/// arbiters: the sorted event list plus per-slot pending actions.
+/// A [`PairingSchedule`] being executed: its events sorted by cycle and
+/// a cursor past those already handed to their slots.
 #[derive(Debug)]
 struct PairingRuntime {
-    /// Schedule events, sorted by cycle.
     events: Vec<PairingEvent>,
-    /// Cursor into `events` (everything before it is already pending or
-    /// applied).
     next: usize,
-    /// Per slot: a due action not yet applied. Releases defer to the
-    /// next segment boundary; a later due event overrides an earlier
-    /// one still pending.
-    pending: Vec<Option<PairingAction>>,
-    /// Per slot: currently policy-released (running unchecked until the
-    /// next acquire).
-    released: Vec<bool>,
-    /// Per slot: `(acquires, releases)` applied so far.
-    counts: Vec<(u64, u64)>,
-}
-
-/// Checked/unchecked cycle accumulator for one main slot. Interval
-/// arithmetic over transitions: `since` marks the start of the current
-/// interval, `live` which bucket it lands in. Freezing at the main's
-/// finish keeps checker-drain cycles out of both buckets.
-#[derive(Debug, Clone, Copy)]
-struct Coverage {
-    checked: u64,
-    unchecked: u64,
-    since: u64,
-    live: bool,
-    frozen: bool,
-}
-
-impl Coverage {
-    /// Closes the current interval at `now` and starts the next with
-    /// the given liveness. No-op once frozen.
-    fn transition(&mut self, now: u64, live: bool) {
-        if self.frozen {
-            return;
-        }
-        let d = now.saturating_sub(self.since);
-        if self.live {
-            self.checked += d;
-        } else {
-            self.unchecked += d;
-        }
-        self.since = now;
-        self.live = live;
-    }
-
-    /// The `(checked, unchecked)` totals with the open interval settled
-    /// at `now`.
-    fn settled(mut self, now: u64) -> (u64, u64) {
-        let live = self.live;
-        self.transition(now, live);
-        (self.checked, self.unchecked)
-    }
-}
-
-/// Rollback bookkeeping for every main (only allocated under
-/// [`RecoveryPolicy::Rollback`]).
-#[derive(Debug)]
-struct RecoveryState {
-    max_retries: u32,
-    slots: Vec<RecoverySlot>,
-}
-
-/// One rollback anchor: everything needed to restart a main at a
-/// checking-segment boundary. Captured when the segment opens — the SCP
-/// snapshot *is* the boundary state, and the journal mark brackets the
-/// stores the re-execution must undo.
-#[derive(Debug)]
-struct Anchor {
-    seq: u64,
-    snapshot: ArchSnapshot,
-    journal_mark: u64,
-    open_cycle: u64,
-}
-
-#[derive(Debug, Default)]
-struct RecoverySlot {
-    /// Anchors of segments without a verdict yet, oldest first.
-    anchors: VecDeque<Anchor>,
-    /// Per consumer index: highest segment seq with a verdict (clean or
-    /// failed). Anchors retire once *every* consumer has resolved them.
-    resolved: Vec<Option<u64>>,
-    /// Detection cycle of the in-flight recovery, until a segment
-    /// verifies clean again.
-    pending_since: Option<u64>,
-    /// Consecutive rollbacks without an intervening clean verdict.
-    consecutive: u32,
-    /// Memo block: the re-executed stream must be replayed for real
-    /// until it verifies clean (DESIGN.md §14).
-    blocked: bool,
-    recoveries: u64,
-    unrecovered: u64,
-    wasted_cycles: u64,
-    latencies: Vec<u64>,
-}
-
-impl RecoverySlot {
-    /// Retires every anchor all consumers have resolved and returns the
-    /// journal mark memory can be truncated to (`u64::MAX` = everything;
-    /// the caller clamps to the live mark).
-    fn retire_resolved(&mut self) -> Option<u64> {
-        // An anchor can only retire once every consumer has issued a
-        // verdict for its segment.
-        let mut min = u64::MAX;
-        for r in &self.resolved {
-            min = min.min((*r)?);
-        }
-        let mut truncate_to = None;
-        while let Some(front) = self.anchors.front() {
-            if front.seq > min {
-                break;
-            }
-            self.anchors.pop_front();
-            truncate_to = Some(match self.anchors.front() {
-                Some(next) => next.journal_mark,
-                None => u64::MAX,
-            });
-        }
-        truncate_to
-    }
 }
 
 impl std::fmt::Debug for VerifiedRun {
@@ -613,7 +503,7 @@ impl std::fmt::Debug for VerifiedRun {
             .field("mains", &self.mains)
             .field("checkers", &self.checkers)
             .field("arbiters", &self.arbiters.len())
-            .field("done", &self.done)
+            .field("done_count", &self.done_count)
             .field("steps", &self.steps)
             .finish_non_exhaustive()
     }
@@ -660,43 +550,49 @@ impl VerifiedRun {
         } = resolved;
         let mut fs = FlexSoc::new(SocConfig::paper(cores), fabric)?;
         fs.op_g_configure(&mains, &checkers)?;
-        // Heterogeneous mains: swap in each slot's timing model before
-        // anything runs. Checkers keep the in-order default — replay
-        // correctness (and the verdict memo's recorded profiles) assume
-        // the minimal checker microarchitecture.
-        for (slot, kind) in models.iter().enumerate() {
-            fs.soc.set_core_model(mains[slot], *kind);
-        }
-        // Mode dispatch, part 1: checkpoint granularity. FullLockstep
-        // runs at segment limit 1 (a checkpoint per retired user
-        // instruction), CheckpointOnly at a coarse multiple of the base;
-        // SegmentCheck keeps the configured limit untouched.
         let base_limit = fs.fabric.config().segment_limit;
-        for (slot, mode) in modes.iter().enumerate() {
-            if let Some(limit) = mode.segment_limit(base_limit) {
-                fs.fabric.unit_mut(mains[slot]).tracker.set_limit(limit);
-            }
-        }
-
-        // Shared checkers get one arbiter each; mains request in channel
-        // order (first request per checker is granted immediately, the
-        // rest queue — the §III-C conflict path).
         let mut arbiters: Vec<CheckerArbiter> = Vec::new();
-        let mut arbiter_of: Vec<Option<usize>> = vec![None; mains.len()];
+        let mut slots = Vec::with_capacity(mains.len());
+        let mut slot_of = vec![None; cores];
         for (slot, bind) in binding.iter().enumerate() {
-            let main = mains[slot];
+            let (main, mode) = (mains[slot], modes[slot]);
+            slot_of[main] = Some(slot);
+            // Heterogeneous mains: swap in each slot's timing model before
+            // anything runs. Checkers keep the in-order default — replay
+            // correctness (and the verdict memo's recorded profiles)
+            // assume the minimal checker microarchitecture.
+            fs.soc.set_core_model(main, models[slot]);
+            let program = &programs[slot];
+            fs.soc.load_program(program);
+            let core = fs.soc.core_mut(main);
+            core.state.pc = program.entry;
+            core.state.prv = PrivMode::User;
+            core.unpark();
+            // Mode dispatch, part 1: checkpoint granularity. FullLockstep
+            // runs at segment limit 1 (a checkpoint per retired user
+            // instruction), CheckpointOnly at a coarse multiple of the
+            // base; SegmentCheck keeps the configured limit untouched.
+            if let Some(limit) = mode.segment_limit(base_limit) {
+                fs.fabric.unit_mut(main).tracker.set_limit(limit);
+            }
             // Mode dispatch, part 2: an Unchecked slot never associates a
             // channel at all — it runs as a plain core, its would-be
             // dedicated checker idles and parks, and a shared pool never
-            // sees it in the queue.
-            if !modes[slot].is_checked() {
+            // sees it in the queue. Nothing can roll it back, so it keeps
+            // no recovery bookkeeping and no store journal.
+            if !mode.is_checked() {
+                slots.push(Slot::new(mode, None, None));
                 continue;
             }
-            match bind {
+            let (arbiter, consumers) = match bind {
                 Binding::Dedicated(cs) => {
                     fs.op_m_associate(main, cs)?;
                     fs.op_m_check(main, true)?;
+                    (None, cs.len())
                 }
+                // Shared checkers get one arbiter each; mains request in
+                // channel order (first request per checker is granted
+                // immediately, the rest queue — the §III-C conflict path).
                 Binding::Shared(ch) => {
                     let idx = match arbiters.iter().position(|a| a.checker() == *ch) {
                         Some(i) => i,
@@ -707,98 +603,58 @@ impl VerifiedRun {
                     };
                     arbiters[idx].request(&mut fs.fabric, main)?;
                     fs.fabric.set_check(main, true)?;
-                    arbiter_of[slot] = Some(idx);
+                    (Some(idx), 1)
                 }
-            }
+            };
+            // Rollback recovery journals the slot's stores (undo log for
+            // re-execution); under Detect no journal exists and the
+            // memory write path is untouched.
+            let recovery = matches!(recovery_policy, RecoveryPolicy::Rollback { .. }).then(|| {
+                fs.soc.mem.enable_journal(main);
+                RecoverySlot {
+                    resolved: vec![None; consumers],
+                    ..RecoverySlot::default()
+                }
+            });
+            slots.push(Slot::new(mode, arbiter, recovery));
         }
         for &c in &checkers {
             fs.op_c_check_state(c, true)?;
             fs.soc.core_mut(c).unpark();
         }
-        for (slot, program) in programs.iter().enumerate() {
-            let main = mains[slot];
-            fs.soc.load_program(program);
-            fs.soc.core_mut(main).state.pc = program.entry;
-            fs.soc.core_mut(main).state.prv = PrivMode::User;
-            fs.soc.core_mut(main).unpark();
-        }
         if let Some(mode) = sched_mode {
             fs.soc.set_sched_mode(mode);
         }
-        let mut slot_of = vec![None; cores];
-        for (slot, &m) in mains.iter().enumerate() {
-            slot_of[m] = Some(slot);
-        }
-        let n = mains.len();
-        // Rollback recovery journals every main's stores (undo log for
-        // re-execution); under Detect no journal exists and the memory
-        // write path is untouched.
-        let recovery = match recovery_policy {
-            RecoveryPolicy::Detect => None,
-            RecoveryPolicy::Rollback { max_retries } => {
-                let slots = binding
-                    .iter()
-                    .map(|b| RecoverySlot {
-                        resolved: match b {
-                            Binding::Dedicated(cs) => vec![None; cs.len()],
-                            Binding::Shared(_) => vec![None; 1],
-                        },
-                        ..RecoverySlot::default()
-                    })
-                    .collect();
-                for &m in &mains {
-                    fs.soc.mem.enable_journal(m);
-                }
-                Some(RecoveryState { max_retries, slots })
-            }
+        let max_retries = match recovery_policy {
+            RecoveryPolicy::Detect => 0,
+            RecoveryPolicy::Rollback { max_retries } => max_retries,
         };
-        let num_checkers = checkers.len();
         let mode_tracking = track_reliability
             || pairing.is_some()
             || modes.iter().any(|m| *m != ReliabilityMode::SegmentCheck);
-        let coverage = modes
-            .iter()
-            .map(|m| Coverage {
-                checked: 0,
-                unchecked: 0,
-                since: 0,
-                live: m.is_checked(),
-                frozen: false,
-            })
-            .collect();
-        let pairing = pairing.map(|schedule| PairingRuntime {
-            events: schedule.events().to_vec(),
-            next: 0,
-            pending: vec![None; n],
-            released: vec![false; n],
-            counts: vec![(0, 0); n],
-        });
         let mut run = VerifiedRun {
             fs,
+            dead_checkers: vec![false; cores],
             mains,
             checkers,
             arbiters,
-            arbiter_of,
+            slots,
             slot_of,
-            done: vec![false; n],
             done_count: 0,
-            trapped: vec![false; n],
-            finish_cycle: vec![0; n],
             steps: 0,
             faults: FaultDriver::new(fault_plan),
             injections: Vec::new(),
             trace,
             recorded: record_events.then(Vec::new),
-            recovery,
-            dead_checkers: vec![false; num_checkers],
+            max_retries,
             checkers_lost: 0,
-            repair_pending: vec![None; n],
             repair_latencies: Vec::new(),
             warnings: Vec::new(),
-            modes,
-            pairing,
+            pairing: PairingRuntime {
+                events: pairing.map_or_else(Vec::new, |p| p.events().to_vec()),
+                next: 0,
+            },
             mode_tracking,
-            coverage,
         };
         run.sync_fault_memo_blocks();
         // The build-time grants above happen before the first step;
@@ -809,11 +665,7 @@ impl VerifiedRun {
             .filter_map(|a| a.granted().map(|g| (a.checker(), g)))
             .collect();
         for (checker, granted) in grants {
-            run.emit(RunEvent::CheckerGranted {
-                checker,
-                main: granted,
-                cycle: 0,
-            });
+            run.granted(checker, granted, 0);
         }
         Ok(run)
     }
@@ -945,13 +797,9 @@ impl VerifiedRun {
 
     /// Whether every main core has reached its final `ecall`.
     pub fn main_done(&self) -> bool {
-        self.mains_stopped() && !self.trapped.contains(&true)
-    }
-
-    /// Whether every main core has stopped producing: finished, or
-    /// parked by a trap ([`RunWarning::MainTrapped`]).
-    fn mains_stopped(&self) -> bool {
-        self.done_count == self.mains.len()
+        self.slots
+            .iter()
+            .all(|s| matches!(s.production(), Production::Finished { .. }))
     }
 
     /// Whether every stream has drained and every checker returned to
@@ -967,7 +815,7 @@ impl VerifiedRun {
     }
 
     /// Selects the ready-core scheduler; see
-    /// [`SchedMode`](flexstep_sim::SchedMode). Both modes produce
+    /// [`SchedMode`](flexstep_sim::SchedMode). All three modes produce
     /// bit-identical runs — `LinearScan` exists for A/B benchmarking.
     pub fn set_sched_mode(&mut self, mode: flexstep_sim::SchedMode) {
         self.fs.soc.set_sched_mode(mode);
@@ -976,7 +824,11 @@ impl VerifiedRun {
     // ----- stepping ---------------------------------------------------------
 
     fn complete(&self) -> bool {
-        self.mains_stopped() && self.drained() && self.arbiters.iter().all(CheckerArbiter::is_idle)
+        // Every main stopped producing (finished, or parked by a trap),
+        // every stream drained and every hand-over done.
+        self.done_count == self.mains.len()
+            && self.drained()
+            && self.arbiters.iter().all(CheckerArbiter::is_idle)
     }
 
     /// Expires every still-pending shot (the run is complete; nothing
@@ -1005,12 +857,9 @@ impl VerifiedRun {
         // A rolled-back stream is likewise blocked until it verifies
         // clean again: its re-execution must be replayed for real, never
         // served a stale cached verdict (DESIGN.md §14).
-        if let Some(rec) = &self.recovery {
-            for (slot, s) in rec.slots.iter().enumerate() {
-                if s.blocked {
-                    let main = self.mains[slot];
-                    self.fs.fabric.unit_mut(main).memo_blocked = true;
-                }
+        for (slot, s) in self.slots.iter().enumerate() {
+            if s.recovery.as_ref().is_some_and(|r| r.blocked) {
+                self.fs.fabric.unit_mut(self.mains[slot]).memo_blocked = true;
             }
         }
         // Shots fire between engine steps, so superblock batching would
@@ -1019,21 +868,39 @@ impl VerifiedRun {
         self.fs.set_main_batching(!self.faults.pending());
     }
 
-    /// Whether a checker *core* has been killed by a fault shot.
-    fn checker_is_dead(&self, core: usize) -> bool {
-        self.checkers
-            .iter()
-            .position(|&c| c == core)
-            .is_some_and(|i| self.dead_checkers[i])
-    }
-
-    /// Samples the kill → re-grant repair latency when an orphaned main
-    /// gets its replacement checker.
-    fn sample_repair_latency(&mut self, main: usize, now: u64) {
+    /// A shared checker was granted to `main`: wakes the checker in case
+    /// it parked while its queue was empty, samples the kill → re-grant
+    /// repair latency when `main` was orphaned, and emits the grant.
+    fn granted(&mut self, checker: usize, main: usize, now: u64) {
+        self.fs.soc.core_mut(checker).unpark();
         if let Some(slot) = self.slot_of[main] {
-            if let Some(killed_at) = self.repair_pending[slot].take() {
+            if let Some(killed_at) = self.slots[slot].repair_pending.take() {
                 self.repair_latencies.push(now.saturating_sub(killed_at));
             }
+        }
+        self.emit(RunEvent::CheckerGranted {
+            checker,
+            main,
+            cycle: now,
+        });
+    }
+
+    /// Puts a shared slot that resumes producing back into arbitration:
+    /// retracts a release its arbiter has not consumed yet, or adopts
+    /// it back in after a hand-over.
+    fn rejoin_arbitration(&mut self, slot: usize, main: usize, now: u64) {
+        let Some(arb) = self.slots[slot].arbiter else {
+            return;
+        };
+        self.arbiters[arb].retract_release(main);
+        if !self.arbiters[arb].is_serving(main)
+            && matches!(
+                self.arbiters[arb].adopt(&mut self.fs.fabric, main),
+                Ok(true)
+            )
+        {
+            let checker = self.arbiters[arb].checker();
+            self.granted(checker, main, now);
         }
     }
 
@@ -1046,93 +913,46 @@ impl VerifiedRun {
     /// later due event for the same slot overrides one still pending.
     fn drive_pairing(&mut self) {
         let now = self.fs.soc.now();
-        {
-            let p = self.pairing.as_mut().expect("pairing runtime");
-            while p.next < p.events.len() && p.events[p.next].at_cycle <= now {
-                let ev = p.events[p.next];
-                p.pending[ev.slot] = Some(ev.action);
-                p.next += 1;
-            }
+        let p = &mut self.pairing;
+        while p.next < p.events.len() && p.events[p.next].at_cycle <= now {
+            let ev = p.events[p.next];
+            self.slots[ev.slot].schedule(ev.action);
+            p.next += 1;
         }
-        for slot in 0..self.mains.len() {
-            let pending = self.pairing.as_ref().expect("pairing runtime").pending[slot];
-            match pending {
-                Some(PairingAction::Release) => self.try_release(slot, now),
-                Some(PairingAction::Acquire) => self.try_acquire(slot, now),
-                None => {}
+        for slot in 0..self.slots.len() {
+            let main = self.mains[slot];
+            match self.slots[slot].due() {
+                Some(PairingAction::Release) if !self.fs.fabric.unit(main).tracker.is_open() => {
+                    self.release(slot, main, now);
+                }
+                Some(PairingAction::Acquire) => self.acquire(slot, main, now),
+                _ => {}
             }
         }
     }
 
-    /// Applies one pending release if the slot sits at a segment
-    /// boundary; otherwise leaves it pending for the next step.
-    fn try_release(&mut self, slot: usize, now: u64) {
-        let main = self.mains[slot];
-        let already = self.pairing.as_ref().expect("pairing runtime").released[slot];
-        if already || self.done[slot] || !self.fs.fabric.unit(main).checking_enabled {
-            // Nothing to release: finished slots released in their done
-            // handling, degraded slots have no channel left. Drop it.
-            self.pairing.as_mut().expect("pairing runtime").pending[slot] = None;
-            return;
-        }
-        if self.fs.fabric.unit(main).tracker.is_open() {
-            return; // not at a boundary yet; retry next step
-        }
+    /// Applies a due release: checking off and, for shared slots, the
+    /// checker handed back once the buffered stream drains (buffered
+    /// segments are still verified — release stops *production*, not
+    /// verification of data already logged).
+    fn release(&mut self, slot: usize, main: usize, now: u64) {
         self.fs.fabric.set_check(main, false).expect("main core");
-        if let Some(arb) = self.arbiter_of[slot] {
-            // Hand the shared checker back: the arbiter completes the
-            // hand-over once the buffered stream drains (buffered
-            // segments are still verified — release stops *production*,
-            // not verification of data already logged).
+        if let Some(arb) = self.slots[slot].arbiter {
             self.arbiters[arb].release(main);
         }
-        {
-            let p = self.pairing.as_mut().expect("pairing runtime");
-            p.pending[slot] = None;
-            p.released[slot] = true;
-            p.counts[slot].1 += 1;
-        }
-        self.coverage[slot].transition(now, false);
+        self.slots[slot].release(now);
         self.emit(RunEvent::CheckerReleased { main, cycle: now });
     }
 
-    /// Applies one pending acquire: re-enables checking and, for shared
-    /// slots, re-enters arbitration — retracting a release the arbiter
-    /// has not consumed yet, or adopting back in after a hand-over.
-    fn try_acquire(&mut self, slot: usize, now: u64) {
-        let main = self.mains[slot];
-        let released = self.pairing.as_ref().expect("pairing runtime").released[slot];
-        self.pairing.as_mut().expect("pairing runtime").pending[slot] = None;
-        if !released || self.done[slot] {
-            return;
-        }
-        if let Some(arb) = self.arbiter_of[slot] {
-            self.arbiters[arb].retract_release(main);
-            if !self.arbiters[arb].is_serving(main) {
-                let immediate = self.arbiters[arb]
-                    .adopt(&mut self.fs.fabric, main)
-                    .expect("released main is pending");
-                if immediate {
-                    let checker = self.arbiters[arb].checker();
-                    self.fs.soc.core_mut(checker).unpark();
-                    self.emit(RunEvent::CheckerGranted {
-                        checker,
-                        main,
-                        cycle: now,
-                    });
-                }
-            }
-        }
+    /// Applies a due acquire: re-enables checking and re-enters
+    /// arbitration.
+    fn acquire(&mut self, slot: usize, main: usize, now: u64) {
+        self.slots[slot].acquire(now);
+        self.rejoin_arbitration(slot, main, now);
         self.fs
             .fabric
             .set_check(main, true)
             .expect("released slot keeps its association");
-        {
-            let p = self.pairing.as_mut().expect("pairing runtime");
-            p.released[slot] = false;
-            p.counts[slot].0 += 1;
-        }
-        self.coverage[slot].transition(now, true);
         self.emit(RunEvent::CheckerAcquired { main, cycle: now });
     }
 
@@ -1142,46 +962,13 @@ impl VerifiedRun {
     /// released window), since such shots must never vanish silently.
     fn shot_expired(&mut self, channel: usize, now: u64) {
         let main = self.mains[channel];
-        let policy_unchecked = self.mode_tracking
-            && (!self.modes[channel].is_checked()
-                || self.pairing.as_ref().is_some_and(|p| p.released[channel]));
-        if policy_unchecked {
+        if self.mode_tracking && self.slots[channel].policy_unchecked() {
             self.warnings.push(RunWarning::ShotInUncheckedWindow {
                 main,
                 at_cycle: now,
             });
         }
         self.emit(RunEvent::ShotExpired { main, cycle: now });
-    }
-
-    /// Reverses the done-handling of a main that must resume producing
-    /// (rollback recovery re-executes its tail).
-    fn unfinish_if_done(&mut self, slot: usize) {
-        if !self.done[slot] {
-            return;
-        }
-        let main = self.mains[slot];
-        self.done[slot] = false;
-        self.done_count -= 1;
-        // A trap the rollback undid no longer stops the main; its
-        // warning stays in the log.
-        self.trapped[slot] = false;
-        self.finish_cycle[slot] = 0;
-        self.fs.soc.core_mut(main).unpark();
-        if self.arbiter_of[slot].is_some() {
-            // Finishing disabled checking; the re-execution needs it back.
-            self.fs.fabric.set_check(main, true).expect("main core");
-        }
-        if self.mode_tracking {
-            // Resume coverage accounting where the re-execution resumes;
-            // the finish → rollback gap counts in neither bucket.
-            let now = self.fs.soc.now();
-            let live = self.fs.fabric.unit(main).checking_enabled;
-            let c = &mut self.coverage[slot];
-            c.frozen = false;
-            c.since = now;
-            c.live = live;
-        }
     }
 
     /// Rolls `main` back to `anchor`: restores the register file from the
@@ -1217,91 +1004,70 @@ impl VerifiedRun {
         }
         let cost = self.fs.fabric.config().scp_apply_cycles;
         self.fs.soc.stall_core(main, cost);
-        self.unfinish_if_done(slot);
-        // A rollback overrides a policy release: the re-execution must
-        // be re-verified, so checking comes back on (shared slots
-        // re-enter arbitration in the caller's retract/adopt path).
-        let was_released = self.pairing.as_ref().is_some_and(|p| p.released[slot]);
-        if was_released {
-            let now = self.fs.soc.now();
-            let _ = self.fs.fabric.set_check(main, true);
-            let p = self.pairing.as_mut().expect("pairing runtime");
-            p.released[slot] = false;
-            p.pending[slot] = None;
-            self.coverage[slot].transition(now, true);
+        // The re-execution resumes producing and overrides a policy
+        // release: it must be re-verified, so checking comes back on
+        // (shared slots re-enter arbitration in the caller's
+        // retract/adopt path).
+        let now = self.fs.soc.now();
+        if self.slots[slot].rollback(now) {
+            self.done_count -= 1;
+            self.fs.soc.core_mut(main).unpark();
+        }
+        if self.slots[slot].checking() == Checking::Live {
+            self.fs.fabric.set_check(main, true).expect("main core");
         }
     }
 
     /// Kill-path re-verification: rolls a main back to its *oldest*
     /// unresolved segment boundary so a replacement checker re-verifies
-    /// everything the dead one left unverdicted. No-op under
-    /// [`RecoveryPolicy::Detect`] (the unverified tail is dropped — a
-    /// documented coverage loss) or when every segment already resolved.
+    /// everything the dead one left unverdicted. No-op for slots that
+    /// cannot roll back (the unverified tail is dropped — a documented
+    /// coverage loss) or when every segment already resolved.
     fn rollback_oldest_unresolved(&mut self, slot: usize, now: u64) {
-        let anchor = {
-            let Some(rec) = self.recovery.as_mut() else {
-                return;
-            };
-            let s = &mut rec.slots[slot];
-            let Some(anchor) = s.anchors.pop_front() else {
-                return;
-            };
-            // Later anchors are inside the re-executed region; the retry
-            // regenerates them under fresh seqs.
-            s.anchors.clear();
-            s.wasted_cycles += now.saturating_sub(anchor.open_cycle);
-            anchor
-        };
-        self.apply_rollback(slot, &anchor);
+        let anchor = self.slots[slot]
+            .recovery
+            .as_mut()
+            .and_then(|s| s.rewind(0, now));
+        if let Some(anchor) = anchor {
+            self.apply_rollback(slot, &anchor);
+        }
     }
 
     /// Degrades a main to unchecked execution (its last checker died):
-    /// checking off, stream flushed, typed warning raised. The run keeps
-    /// completing instead of deadlocking on a channel nobody will drain.
+    /// checking off, stream flushed, journal dropped, typed warning
+    /// raised. The run keeps completing instead of deadlocking on a
+    /// channel nobody will drain.
     fn degrade_unchecked(&mut self, slot: usize, now: u64) {
         let main = self.mains[slot];
         let _ = self.fs.fabric.set_check(main, false);
         self.fs.fabric.unit_mut(main).fifo.reset();
-        self.arbiter_of[slot] = None;
-        self.repair_pending[slot] = None;
-        if let Some(rec) = &mut self.recovery {
-            let s = &mut rec.slots[slot];
+        if let Some(s) = &mut self.slots[slot].recovery {
             if s.pending_since.take().is_some() {
                 // An in-flight recovery can never verify clean again.
                 s.unrecovered += 1;
             }
             s.anchors.clear();
             s.blocked = false;
-            let live = self.fs.soc.mem.journal_mark(main);
-            self.fs.soc.mem.truncate_journal(main, live);
+            // Nothing can roll this main back any more.
+            self.fs.soc.mem.disable_journal(main);
         }
         self.warnings.push(RunWarning::UncheckedExecution {
             main,
             from_cycle: now,
         });
-        if self.mode_tracking {
-            self.coverage[slot].transition(now, false);
-        }
-        if let Some(p) = &mut self.pairing {
-            // No channel survives, so future pairing transitions on this
-            // slot are void; the degradation warning above supersedes
-            // the released-window accounting.
-            p.released[slot] = false;
-            p.pending[slot] = None;
-        }
+        self.slots[slot].degrade(now);
     }
 
     /// Handles a fired [`FaultPlan::kill_checker_at`] shot: halts the
     /// checker core, tears down its channel, and re-pairs the orphaned
     /// mains onto surviving pool members (or degrades them to unchecked
     /// execution when none survive).
-    fn kill_checker(&mut self, idx: usize) {
-        if self.dead_checkers[idx] {
+    fn kill_checker(&mut self, checker: usize) {
+        if self.dead_checkers[checker] {
             return;
         }
-        self.dead_checkers[idx] = true;
+        self.dead_checkers[checker] = true;
         self.checkers_lost += 1;
-        let checker = self.checkers[idx];
         let now = self.fs.soc.now();
         self.fs.soc.core_mut(checker).halt();
         self.emit(RunEvent::CheckerKilled {
@@ -1314,7 +1080,7 @@ impl VerifiedRun {
             let orphans = self.arbiters[ai].take_orphans();
             self.fs.fabric.kill_checker(checker);
             let survivors: Vec<usize> = (0..self.arbiters.len())
-                .filter(|&i| i != ai && !self.checker_is_dead(self.arbiters[i].checker()))
+                .filter(|&i| i != ai && !self.dead_checkers[self.arbiters[i].checker()])
                 .collect();
             for (k, &orphan) in orphans.iter().enumerate() {
                 let slot = self.slot_of[orphan].expect("orphan is a main");
@@ -1324,25 +1090,19 @@ impl VerifiedRun {
                     continue;
                 }
                 let target = survivors[k % survivors.len()];
-                self.arbiter_of[slot] = Some(target);
-                self.repair_pending[slot] = Some(now);
+                self.slots[slot].arbiter = Some(target);
+                self.slots[slot].repair_pending = Some(now);
                 let immediate = self.arbiters[target]
                     .adopt(&mut self.fs.fabric, orphan)
                     .expect("orphan is pending");
-                if self.done[slot] {
+                if !self.slots[slot].is_running() {
                     // Still done after the rollback pass: nothing to
                     // re-execute, only buffered data to drain.
                     self.arbiters[target].release(orphan);
                 }
                 if immediate {
-                    self.sample_repair_latency(orphan, now);
                     let new_checker = self.arbiters[target].checker();
-                    self.fs.soc.core_mut(new_checker).unpark();
-                    self.emit(RunEvent::CheckerGranted {
-                        checker: new_checker,
-                        main: orphan,
-                        cycle: now,
-                    });
+                    self.granted(new_checker, orphan, now);
                 }
             }
         } else if let Some((main, survivors)) = self.fs.fabric.kill_checker(checker) {
@@ -1350,9 +1110,9 @@ impl VerifiedRun {
             // the fabric and restart at the next SCP.
             let slot = self.slot_of[main].expect("channel main");
             self.rollback_oldest_unresolved(slot, now);
-            if let Some(rec) = &mut self.recovery {
+            if let Some(s) = &mut self.slots[slot].recovery {
                 // Consumer indices changed; verdict bookkeeping restarts.
-                rec.slots[slot].resolved = vec![None; survivors.max(1)];
+                s.resolved = vec![None; survivors.max(1)];
             }
             if survivors == 0 {
                 self.degrade_unchecked(slot, now);
@@ -1363,57 +1123,41 @@ impl VerifiedRun {
 
     /// Rollback-recovery reaction to one engine step: anchors new
     /// segments, retires verdicted ones, and rolls the faulted main back
-    /// on a detection. Only called under [`RecoveryPolicy::Rollback`].
+    /// on a detection. A no-op for slots without recovery bookkeeping.
     fn handle_recovery_step(&mut self, core: usize, step: &EngineStep) {
         match step {
             EngineStep::SegmentOpened => {
-                let Some(slot) = self.slot_of[core] else {
-                    return;
-                };
-                let Some(seq) = self.fs.fabric.unit(core).tracker.open_seq() else {
-                    return;
-                };
-                let snapshot = self.fs.soc.core(core).state.snapshot();
-                let journal_mark = self.fs.soc.mem.journal_mark(core);
-                let open_cycle = self.fs.soc.now();
-                let rec = self.recovery.as_mut().expect("rollback policy");
-                rec.slots[slot].anchors.push_back(Anchor {
-                    seq,
-                    snapshot,
-                    journal_mark,
-                    open_cycle,
-                });
+                let rec = self.slot_of[core].and_then(|i| self.slots[i].recovery.as_mut());
+                if let (Some(s), Some(seq)) = (rec, self.fs.fabric.unit(core).tracker.open_seq()) {
+                    s.anchors.push_back(Anchor {
+                        seq,
+                        snapshot: self.fs.soc.core(core).state.snapshot(),
+                        journal_mark: self.fs.soc.mem.journal_mark(core),
+                        open_cycle: self.fs.soc.now(),
+                    });
+                }
             }
             EngineStep::CheckerSegmentDone(result) => {
                 let Some((main, consumer)) = self.fs.fabric.channel_of(core) else {
                     return;
                 };
-                let Some(slot) = self.slot_of[main] else {
+                let now = self.fs.soc.now();
+                let rec = self.slot_of[main].and_then(|i| self.slots[i].recovery.as_mut());
+                let Some(s) = rec else {
                     return;
                 };
-                let now = self.fs.soc.now();
-                let live_mark = self.fs.soc.mem.journal_mark(main);
-                let (truncate, completed) = {
-                    let rec = self.recovery.as_mut().expect("rollback policy");
-                    let s = &mut rec.slots[slot];
-                    if consumer < s.resolved.len() {
-                        s.resolved[consumer] =
-                            Some(s.resolved[consumer].map_or(result.seq, |v| v.max(result.seq)));
-                    }
-                    let truncate = s.retire_resolved();
-                    // A clean verdict ends the recovery window: the
-                    // retried stream verified, the retry budget resets,
-                    // and the memo block lifts.
-                    s.consecutive = 0;
-                    let completed = s.pending_since.take().map(|t| now.saturating_sub(t));
-                    if let Some(latency) = completed {
-                        s.latencies.push(latency);
-                        s.blocked = false;
-                    }
-                    (truncate, completed)
-                };
+                let truncate = s.resolve(Some(consumer), result.seq);
+                // A clean verdict ends the recovery window: the retried
+                // stream verified, the retry budget resets, and the memo
+                // block lifts.
+                s.consecutive = 0;
+                let completed = s.pending_since.take().map(|t| now.saturating_sub(t));
+                if let Some(latency) = completed {
+                    s.latencies.push(latency);
+                    s.blocked = false;
+                }
                 if let Some(mark) = truncate {
-                    self.fs.soc.mem.truncate_journal(main, mark.min(live_mark));
+                    self.fs.soc.mem.truncate_journal(main, mark);
                 }
                 if let Some(latency) = completed {
                     self.emit(RunEvent::RecoveryComplete {
@@ -1424,90 +1168,55 @@ impl VerifiedRun {
                     self.sync_fault_memo_blocks();
                 }
             }
-            EngineStep::CheckerDetected(event) => {
-                self.handle_detection_recovery(
-                    event.main_core,
-                    event.checker_core,
-                    event.segment_seq,
-                );
-            }
+            EngineStep::CheckerDetected(event) => self.recover_detection(event),
             _ => {}
         }
     }
 
     /// Rollback-or-exhaust decision for one detection (DESIGN.md §14).
-    fn handle_detection_recovery(&mut self, main: usize, checker: usize, seq: u64) {
+    fn recover_detection(&mut self, event: &DetectionEvent) {
+        let (main, seq) = (event.main_core, event.segment_seq);
         let now = self.fs.soc.now();
         let Some(slot) = self.slot_of[main] else {
             return;
         };
-        let consumer = self.fs.fabric.channel_of(checker).map(|(_, i)| i);
-        let live_mark = self.fs.soc.mem.journal_mark(main);
-        enum Decision {
-            Roll(Box<Anchor>),
-            Exhausted(Option<u64>),
-        }
-        let decision = {
-            let rec = self.recovery.as_mut().expect("rollback policy");
-            let max_retries = rec.max_retries;
-            let s = &mut rec.slots[slot];
-            let pos = s.anchors.iter().position(|a| a.seq == seq);
-            match pos {
-                Some(i) if s.consecutive < max_retries => {
-                    let anchor = s.anchors.remove(i).expect("position is in range");
-                    // Anchors after (and before) the rollback point
-                    // describe segments whose in-flight data the flush
-                    // destroys; the retry regenerates them under fresh
-                    // seqs, so they can never resolve — drop them.
-                    s.anchors.clear();
-                    s.recoveries += 1;
-                    s.consecutive += 1;
-                    s.blocked = true;
-                    if s.pending_since.is_none() {
-                        // Consecutive retries keep the first detection as
-                        // the latency epoch: detect → verified-again.
-                        s.pending_since = Some(now);
-                    }
-                    s.wasted_cycles += now.saturating_sub(anchor.open_cycle);
-                    Decision::Roll(Box::new(anchor))
-                }
-                _ => {
-                    // Retry budget exhausted (or the anchor is gone):
-                    // record detect-only, like RecoveryPolicy::Detect.
-                    s.unrecovered += 1;
-                    if let Some(i) = consumer {
-                        if i < s.resolved.len() {
-                            s.resolved[i] = Some(s.resolved[i].map_or(seq, |v| v.max(seq)));
-                        }
-                    }
-                    let truncate = s.retire_resolved();
-                    s.pending_since = None;
-                    s.consecutive = 0;
-                    s.blocked = false;
-                    Decision::Exhausted(truncate)
-                }
-            }
+        let consumer = self
+            .fs
+            .fabric
+            .channel_of(event.checker_core)
+            .map(|(_, i)| i);
+        let max_retries = self.max_retries;
+        let Some(s) = self.slots[slot].recovery.as_mut() else {
+            return;
         };
-        match decision {
-            Decision::Roll(anchor) => {
+        let pos = s.anchors.iter().position(|a| a.seq == seq);
+        match pos.filter(|_| s.consecutive < max_retries) {
+            Some(i) => {
+                let anchor = s.rewind(i, now).expect("position is in range");
+                s.recoveries += 1;
+                s.consecutive += 1;
+                s.blocked = true;
+                // Consecutive retries keep the first detection as the
+                // latency epoch: detect → verified-again.
+                s.pending_since.get_or_insert(now);
                 self.apply_rollback(slot, &anchor);
-                if let Some(arb) = self.arbiter_of[slot] {
-                    self.arbiters[arb].retract_release(main);
-                    if !self.arbiters[arb].is_serving(main) {
-                        // The grant was revoked before the detection
-                        // landed; re-enter arbitration for the retry.
-                        let _ = self.arbiters[arb].adopt(&mut self.fs.fabric, main);
-                    }
-                }
+                self.rejoin_arbitration(slot, main, now);
                 self.emit(RunEvent::RecoveryStart {
                     main,
                     seq,
                     cycle: now,
                 });
             }
-            Decision::Exhausted(truncate) => {
+            None => {
+                // Retry budget exhausted (or the anchor is gone): record
+                // detect-only, like RecoveryPolicy::Detect.
+                s.unrecovered += 1;
+                let truncate = s.resolve(consumer, seq);
+                s.pending_since = None;
+                s.consecutive = 0;
+                s.blocked = false;
                 if let Some(mark) = truncate {
-                    self.fs.soc.mem.truncate_journal(main, mark.min(live_mark));
+                    self.fs.soc.mem.truncate_journal(main, mark);
                 }
                 self.warnings.push(RunWarning::RetriesExhausted {
                     main,
@@ -1528,8 +1237,8 @@ impl VerifiedRun {
         let Some(slot) = self.slot_of[core] else {
             return false;
         };
-        if self.done[slot]
-            || self.modes[slot] != ReliabilityMode::FullLockstep
+        if !self.slots[slot].is_running()
+            || self.slots[slot].mode != ReliabilityMode::FullLockstep
             || !self.fs.fabric.checking_live(core)
         {
             return false;
@@ -1548,33 +1257,24 @@ impl VerifiedRun {
             self.expire_remaining_shots();
             return false;
         }
-        let mut grants: Vec<(usize, usize)> = Vec::new();
-        for a in &mut self.arbiters {
-            if let Some(granted) = a.poll(&mut self.fs.fabric) {
-                grants.push((a.checker(), granted));
+        let now = self.fs.soc.now();
+        for i in 0..self.arbiters.len() {
+            if let Some(main) = self.arbiters[i].poll(&mut self.fs.fabric) {
+                self.granted(self.arbiters[i].checker(), main, now);
             }
         }
-        for (checker, granted) in grants {
-            // A hand-over reconnects the checker; wake it in case it
-            // parked while its queue was empty.
-            self.fs.soc.core_mut(checker).unpark();
-            let now = self.fs.soc.now();
-            self.sample_repair_latency(granted, now);
-            self.emit(RunEvent::CheckerGranted {
-                checker,
-                main: granted,
-                cycle: now,
-            });
-        }
-        if self.pairing.is_some() {
+        if !self.pairing.events.is_empty() {
             self.drive_pairing();
         }
         if self.faults.pending() {
             let now = self.fs.soc.now();
-            let done = &self.done;
-            let (fired, expired, kills) =
-                self.faults
-                    .fire_due(&mut self.fs.fabric, &self.mains, |slot| done[slot], now);
+            let slots = &self.slots;
+            let (fired, expired, kills) = self.faults.fire_due(
+                &mut self.fs.fabric,
+                &self.mains,
+                |slot| !slots[slot].is_running(),
+                now,
+            );
             let pending_set_changed = !fired.is_empty() || !expired.is_empty() || !kills.is_empty();
             for injection in fired {
                 if self.observing() {
@@ -1586,7 +1286,7 @@ impl VerifiedRun {
                 self.shot_expired(channel, now);
             }
             for checker_idx in kills {
-                self.kill_checker(checker_idx);
+                self.kill_checker(self.checkers[checker_idx]);
             }
             if pending_set_changed {
                 self.sync_fault_memo_blocks();
@@ -1643,59 +1343,56 @@ impl VerifiedRun {
                 cycle: now,
             });
         }
-        if let Some(slot) = self.slot_of[core] {
-            if !self.done[slot] {
-                if let EngineStep::Core(StepKind::Trap {
-                    cause: TrapCause::EcallFromU,
-                    ..
-                }) = &step
-                {
-                    let now = self.fs.soc.now();
-                    self.finish_cycle[slot] = now;
-                    self.stop_main(slot, core, now);
+        if let (Some(slot), EngineStep::Core(StepKind::Trap { cause, tval, pc })) =
+            (self.slot_of[core], &step)
+        {
+            if self.slots[slot].is_running() {
+                let now = self.fs.soc.now();
+                if *cause == TrapCause::EcallFromU {
+                    self.stop_main(slot, core, now, Production::Finished { cycle: now });
                     self.emit(RunEvent::MainFinished {
                         main: core,
                         cycle: now,
                     });
-                } else if let EngineStep::Core(StepKind::Trap { cause, tval, pc }) = step {
+                } else {
                     // Leaving user mode closed the open segment, so the
                     // checker still drains what the main produced.
-                    let now = self.fs.soc.now();
-                    self.trapped[slot] = true;
-                    self.stop_main(slot, core, now);
+                    self.stop_main(slot, core, now, Production::Trapped);
                     self.warnings.push(RunWarning::MainTrapped {
                         main: core,
-                        cause,
-                        pc,
-                        tval,
+                        cause: *cause,
+                        pc: *pc,
+                        tval: *tval,
                     });
                 }
             }
         }
+        if let EngineStep::MemoDesync { main, seq } = step {
+            // The checker can no longer be trusted to verify: take it out
+            // of service like a killed one, so its mains re-pair or
+            // degrade and the run still finishes.
+            self.warnings.push(RunWarning::MemoPlaybackDesync {
+                checker: core,
+                main,
+                seq,
+            });
+            self.kill_checker(core);
+        }
         if self.observing() {
             self.emit_step_events(core, seg_before, &step);
         }
-        if self.recovery.is_some() {
-            self.handle_recovery_step(core, &step);
-        }
+        self.handle_recovery_step(core, &step);
         true
     }
 
     /// Stops a main that will produce no more (its final `ecall`, or a
     /// trap): parks it, freezes its coverage and hands its shared checker
     /// back once the stream drains.
-    fn stop_main(&mut self, slot: usize, core: usize, now: u64) {
-        self.done[slot] = true;
+    fn stop_main(&mut self, slot: usize, core: usize, now: u64, production: Production) {
+        self.slots[slot].stop(now, production);
         self.done_count += 1;
-        if self.mode_tracking {
-            // Freeze coverage at the finish: drain cycles belong to
-            // neither bucket.
-            let live = self.coverage[slot].live;
-            self.coverage[slot].transition(now, live);
-            self.coverage[slot].frozen = true;
-        }
         self.fs.soc.core_mut(core).park();
-        if let Some(arb) = self.arbiter_of[slot] {
+        if let Some(arb) = self.slots[slot].arbiter {
             // Stop producing and let the arbiter hand the checker over
             // once the stream drains.
             self.fs.fabric.set_check(core, false).expect("main core");
@@ -1713,34 +1410,21 @@ impl VerifiedRun {
         let cycle = self.fs.soc.now();
         if let Some(before) = seg_before {
             let after = self.fs.fabric.unit(core).tracker.open_seq();
-            match (before, after) {
-                (None, Some(seq)) => {
-                    self.emit(RunEvent::SegmentOpen {
-                        main: core,
-                        seq,
-                        cycle,
-                    });
-                }
-                (Some(seq), None) => {
+            if before != after {
+                if let Some(seq) = before {
                     self.emit(RunEvent::SegmentClose {
                         main: core,
                         seq,
                         cycle,
                     });
                 }
-                (Some(closed), Some(opened)) if closed != opened => {
-                    self.emit(RunEvent::SegmentClose {
-                        main: core,
-                        seq: closed,
-                        cycle,
-                    });
+                if let Some(seq) = after {
                     self.emit(RunEvent::SegmentOpen {
                         main: core,
-                        seq: opened,
+                        seq,
                         cycle,
                     });
                 }
-                _ => {}
             }
         }
         match step {
@@ -1820,13 +1504,13 @@ impl VerifiedRun {
         let per_main: Vec<MainReport> = self
             .mains
             .iter()
-            .enumerate()
-            .map(|(slot, &core)| {
-                let rec = self.recovery.as_ref().map(|r| &r.slots[slot]);
+            .zip(&self.slots)
+            .map(|(&core, s)| {
+                let rec = s.recovery.as_ref();
                 MainReport {
                     core,
-                    completed: self.done[slot] && !self.trapped[slot],
-                    finish_cycle: self.finish_cycle[slot],
+                    completed: matches!(s.production(), Production::Finished { .. }),
+                    finish_cycle: s.finish_cycle(),
                     retired: self.fs.soc.core(core).instret,
                     recoveries: rec.map_or(0, |s| s.recoveries),
                     unrecovered: rec.map_or(0, |s| s.unrecovered),
@@ -1870,10 +1554,10 @@ impl VerifiedRun {
         let matched = report.matched_detections();
         self.mains
             .iter()
-            .enumerate()
-            .map(|(slot, &core)| {
-                let (checked_cycles, unchecked_cycles) = self.coverage[slot].settled(now);
-                let (acquires, releases) = self.pairing.as_ref().map_or((0, 0), |p| p.counts[slot]);
+            .zip(&self.slots)
+            .map(|(&core, s)| {
+                let (checked_cycles, unchecked_cycles) = s.coverage(now);
+                let (acquires, releases) = s.pairing_counts();
                 let mut detections = 0;
                 let mut detection_latency_total = 0;
                 for m in matched.iter().filter(|m| m.main_core == core) {
@@ -1882,7 +1566,7 @@ impl VerifiedRun {
                 }
                 ModeStats {
                     core,
-                    mode: self.modes[slot],
+                    mode: s.mode,
                     checked_cycles,
                     unchecked_cycles,
                     checkpoint_stall_cycles: self.fs.fabric.unit(core).cp_stall_cycles,
@@ -2294,6 +1978,60 @@ mod tests {
             r.segments_checked < rg.segments_checked,
             "the tail of the run goes unverified"
         );
+    }
+
+    #[test]
+    fn only_slots_that_can_roll_back_keep_a_journal() {
+        // Slot 0 runs unchecked by mode; slot 1 degrades when its only
+        // checker dies. Neither can ever roll back, so neither may keep
+        // an undo entry per store.
+        let mut run = Scenario::new(&store_loop_in_window(3000, 0))
+            .program(&store_loop_in_window(3000, 1))
+            .cores(4)
+            .reliability_mode(0, ReliabilityMode::Unchecked)
+            .recovery(RecoveryPolicy::Rollback { max_retries: 3 })
+            .fault_plan(FaultPlan::kill_checker_at(5_000).on_checker(1))
+            .build()
+            .unwrap();
+        let r = run.run_to_completion(50_000_000);
+        assert!(r.completed);
+        let (unchecked, degraded) = (run.mains()[0], run.mains()[1]);
+        assert!(
+            r.warnings.iter().any(
+                |w| matches!(w, RunWarning::UncheckedExecution { main, .. } if *main == degraded)
+            ),
+            "slot 1 must degrade: {:?}",
+            r.warnings
+        );
+        assert_eq!(run.soc().mem.journal_mark(unchecked), 0);
+        assert_eq!(run.soc().mem.journal_mark(degraded), 0);
+    }
+
+    #[test]
+    fn memo_playback_desync_takes_the_checker_out_of_service() {
+        let p = memoizable_loop(8);
+        let mut run = Scenario::new(&p).cores(2).build().unwrap();
+        let checker = run.checkers()[0];
+        while run.fs.fabric.unit(checker).checker.playback.is_none() {
+            assert!(run.step_once(), "the run must reach a memo hit");
+        }
+        let playback = run.fs.fabric.unit_mut(checker).checker.playback.as_mut();
+        playback.expect("playback is active").inst_count += 1;
+        let r = run.run_to_completion(100_000_000);
+        assert!(r.completed, "a desynced checker must not stop the run");
+        assert_eq!(r.checkers_lost, 1);
+        assert!(
+            matches!(
+                r.warnings.as_slice(),
+                [
+                    RunWarning::MemoPlaybackDesync { checker: c, main: 0, .. },
+                    RunWarning::UncheckedExecution { main: 0, .. },
+                ] if *c == checker
+            ),
+            "{:?}",
+            r.warnings
+        );
+        assert!(r.to_json().contains(r#""kind": "memo_playback_desync""#));
     }
 
     #[test]

@@ -101,6 +101,7 @@ pub mod rcpm;
 pub mod scenario;
 pub mod share;
 pub mod sink;
+mod slot;
 pub mod trace;
 
 pub use checker::{CheckPhase, CheckerState, ReplayPort};

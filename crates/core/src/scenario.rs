@@ -920,7 +920,7 @@ impl Scenario {
     }
 
     /// Forces a ready-core scheduler (default: the SoC's adaptive
-    /// choice; see [`SchedMode`]). Both modes are bit-identical.
+    /// choice; see [`SchedMode`]). All three modes are bit-identical.
     pub fn sched_mode(mut self, mode: SchedMode) -> Self {
         self.sched_mode = Some(mode);
         self

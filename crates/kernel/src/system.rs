@@ -698,6 +698,11 @@ impl System {
             EngineStep::Core(StepKind::Trap { cause, tval, pc }) => {
                 panic!("unhandled guest trap on core {core}: {cause:?} tval={tval:#x} pc={pc:#x}");
             }
+            EngineStep::MemoDesync { main, seq } => {
+                panic!(
+                    "verdict-memo playback desynced on checker {core} (main {main}, segment {seq})"
+                );
+            }
             EngineStep::CheckerInterrupted(_) => {
                 self.fs.soc.core_mut(core).clear_timer();
                 self.fs.soc.stall_core(core, self.cfg.trap_cycles);

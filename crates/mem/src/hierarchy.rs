@@ -175,8 +175,8 @@ impl MemorySystem {
     /// Starts recording an undo journal for `core`'s stores.
     ///
     /// Cores without a journal (the default) pay nothing on the write
-    /// path. Only main cores under a rollback recovery policy enable
-    /// this.
+    /// path. Only checked main cores under a rollback recovery policy
+    /// enable this.
     ///
     /// # Panics
     ///
@@ -185,6 +185,17 @@ impl MemorySystem {
         if self.journals[core].is_none() {
             self.journals[core] = Some(UndoJournal::default());
         }
+    }
+
+    /// Stops journaling `core`'s stores and drops its journal: nothing
+    /// can roll the core back any more. [`journal_mark`](Self::journal_mark)
+    /// reads 0 afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
+    pub fn disable_journal(&mut self, core: usize) {
+        self.journals[core] = None;
     }
 
     /// Current journal position of `core`, for later

@@ -225,8 +225,9 @@ impl Soc {
     }
 
     /// Selects the ready-core scheduling algorithm (see [`SchedMode`]).
-    /// Both modes pick identical cores; `LinearScan` exists for A/B
-    /// benchmarking and determinism cross-checks.
+    /// All three modes pick identical cores: `Adaptive` resolves to one
+    /// of the two engines by core count, and `LinearScan` is the
+    /// reference kept for A/B benchmarking and determinism cross-checks.
     pub fn set_sched_mode(&mut self, mode: SchedMode) {
         self.sched_mode = mode;
     }

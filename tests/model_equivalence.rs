@@ -15,7 +15,8 @@
 //! complete, but produce the same bytes).
 
 use flexstep::core::{
-    FabricConfig, FaultPlan, RecoveryPolicy, ReliabilityMode, Scenario, Topology, VerifiedRun,
+    FabricConfig, FaultPlan, PairingSchedule, RecoveryPolicy, ReliabilityMode, RunWarning,
+    Scenario, Topology, VerifiedRun,
 };
 use flexstep::isa::asm::{Assembler, Program};
 use flexstep::isa::inst::{AmoOp, AmoWidth};
@@ -295,4 +296,94 @@ fn memo_on_and_off_match_goldens_and_each_other() {
     assert_eq!(reports[0], reports[1], "memo on/off must not diverge");
     assert_golden("memo_off.report.json", &reports[0]);
     assert_golden("memo_on.report.json", &reports[1]);
+}
+
+// ---------------------------------------------------------------------------
+// Policy-layer goldens: reliability modes × dynamic pairing × rollback ×
+// checker kills in one run. They pin every per-slot lifecycle
+// transition of the harness (release, re-acquire, rollback overriding a
+// release, orphan re-pairing, degradation, exhausted retries), so a
+// change to that layer must reproduce them without re-blessing.
+// ---------------------------------------------------------------------------
+
+fn small_segments() -> FabricConfig {
+    FabricConfig {
+        segment_limit: 150,
+        ..FabricConfig::paper()
+    }
+}
+
+#[test]
+fn policy_shared_report_matches_golden() {
+    let programs: Vec<Program> = (0..6).map(|i| checksum_job(i, 600)).collect();
+    let mut plan = FaultPlan::none().with_seed(0x9e37);
+    for (k, channel) in [0usize, 1, 3, 4, 2].into_iter().enumerate() {
+        plan = plan
+            .then_random_at(3_000 + 1_000 * k as u64)
+            .on_channel(channel);
+    }
+    let plan = plan.then_kill_checker_at(9_000).on_checker(1);
+    let mut scenario = Scenario::new(&programs[0])
+        .cores(8)
+        .topology(Topology::SharedChecker { checkers: 2 })
+        .fabric(small_segments())
+        .fault_plan(plan)
+        .recovery(RecoveryPolicy::Rollback { max_retries: 3 })
+        .reliability_mode(0, ReliabilityMode::FullLockstep)
+        .reliability_mode(1, ReliabilityMode::CheckpointOnly)
+        .reliability_mode(2, ReliabilityMode::Unchecked)
+        .pairing_schedule(
+            PairingSchedule::new()
+                .window(3, 2_000, 8_000)
+                .release_at(12_000, 5),
+        );
+    for p in &programs[1..] {
+        scenario = scenario.program(p);
+    }
+    let mut run = scenario.build().unwrap();
+    let report = run.run_to_completion(u64::MAX);
+    assert!(report.completed, "policy run must complete");
+    assert_eq!(report.checkers_lost, 1);
+    assert_eq!(report.injections.len(), 4);
+    assert_eq!(report.shots_expired, 1);
+    assert!(report
+        .warnings
+        .iter()
+        .any(|w| matches!(w, RunWarning::ShotInUncheckedWindow { .. })));
+    assert_golden("policy_shared.report.json", &report.to_json());
+}
+
+#[test]
+fn policy_degrade_report_matches_golden() {
+    let plan = FaultPlan::none()
+        .with_seed(0x51)
+        .then_random_at(3_000)
+        .on_channel(0)
+        .then_random_at(4_000)
+        .on_channel(1)
+        .then_random_at(5_000)
+        .on_channel(0)
+        .then_kill_checker_at(6_000)
+        .on_checker(1);
+    let mut run = Scenario::new(&checksum_job(0, 700))
+        .program(&checksum_job(1, 700))
+        .cores(4)
+        .fabric(small_segments())
+        .fault_plan(plan)
+        .recovery(RecoveryPolicy::Rollback { max_retries: 0 })
+        .track_reliability()
+        .build()
+        .unwrap();
+    let report = run.run_to_completion(u64::MAX);
+    assert!(report.completed, "degrade run must complete");
+    let count = |f: fn(&RunWarning) -> bool| report.warnings.iter().filter(|w| f(w)).count();
+    assert_eq!(
+        count(|w| matches!(w, RunWarning::RetriesExhausted { .. })),
+        3
+    );
+    assert_eq!(
+        count(|w| matches!(w, RunWarning::UncheckedExecution { .. })),
+        1
+    );
+    assert_golden("policy_degrade.report.json", &report.to_json());
 }
